@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 import click
 
@@ -23,12 +24,15 @@ from monobrick.diagrams import (
     BudgetExceeded,
     Diagram,
     DiagramKind,
+    arc_table,
+    check_budget,
     count_closed_form,
+    count_diagrams,
     crossing_violation,
     cyclic_count_from_recurrence,
     diagram_from_json,
     diagram_to_json,
-    enumerate_diagrams,
+    json_lines,
     linear_count_from_recurrence,
 )
 from monobrick.ncl import (
@@ -59,6 +63,11 @@ _KINDS = {
     "semibrick": DiagramKind.SEMIBRICK,
     "cofinally-closed": DiagramKind.COFINALLY_CLOSED,
 }
+
+# enumerate joins this many lines per write(): about 16 KB.  Unbuffered
+# stdout (PYTHONUNBUFFERED, python -u) would otherwise make every line a
+# system call, and larger batches only raise peak memory.
+_LINES_PER_WRITE = 256
 
 _KIND_CHOICE = click.Choice(sorted(_KINDS))
 _FAMILY_CHOICE = click.Choice(["A", "B"])
@@ -161,28 +170,25 @@ def main() -> None:
 @click.option("--budget", type=int, default=None,
               help="Rank cap override (default 10 for A, 7 for B; also via "
                    "MONOBRICK_BUDGET_A / MONOBRICK_BUDGET_B).")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Accepted for interface stability; enumeration is "
-                   "sequential and output does not depend on this value.")
 @_OUT_OPTION
-def enumerate_command(family, rank, kind, budget, workers, out_path):
+def enumerate_command(family, rank, kind, budget, out_path):
     """Stream every diagram of one kind as JSON, one object per line.
 
     The final line is {"count":N}.
     """
-    if workers < 1:
-        raise click.UsageError("--workers must be a positive integer")
     algebra = _make_algebra(family, rank)
-    limit = _budget_override(family, budget)
     try:
-        with _sink(out_path) as fh:
-            total = 0
-            for diagram in enumerate_diagrams(algebra, _KINDS[kind], limit):
-                fh.write(_dumps(diagram_to_json(diagram)) + "\n")
-                total += 1
-            fh.write(_dumps({"count": total}) + "\n")
+        check_budget(algebra, _budget_override(family, budget))
     except BudgetExceeded as exc:
         raise BudgetError(str(exc)) from exc
+    table = arc_table(algebra)
+    lines = json_lines(table, table.diagrams(_KINDS[kind]))
+    with _sink(out_path) as fh:
+        total = 0
+        while batch := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("".join(batch))
+            total += len(batch)
+        fh.write(_dumps({"count": total}) + "\n")
 
 
 def _format_flag(value) -> str:
@@ -215,9 +221,7 @@ def count_command(family, n_max, n_min, kind, budget, fmt, out_path):
     try:
         for rank in range(n_min, n_max + 1):
             algebra = _make_algebra(family, rank)
-            enumerated = sum(
-                1 for _ in enumerate_diagrams(algebra, diagram_kind, limit)
-            )
+            enumerated = count_diagrams(algebra, diagram_kind, limit)
             closed = count_closed_form(algebra, diagram_kind)
             if diagram_kind is DiagramKind.MONOBRICK:
                 second = (

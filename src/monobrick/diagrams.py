@@ -1,26 +1,42 @@
 """Arc diagrams: pairwise-compatible arc sets, enumeration, exact counts.
 
-A diagram collects arcs over one algebra.  The three diagram kinds differ only
-in which crossing kinds a pair of member arcs may have:
+A diagram collects arcs over one algebra.  The three diagram kinds differ in
+which crossing kinds a pair of member arcs may have:
 
 * monobrick diagrams allow mono-crossing and non-crossing pairs,
 * semibrick diagrams allow non-crossing pairs only,
 * cofinally closed diagrams are the monobrick diagrams fixed by cofinal
-  closure (the filter lives in :mod:`monobrick.poset`).
+  closure.  They are generated as the cofinal closures of the semibrick
+  diagrams, the paper's semibrick / cofinally-closed bijection; deduplicating
+  the closures keeps the emitted count an independent check that the
+  bijection is injective.
 
-Enumeration is clique search over the compatibility graph, emitted in lex
-order on the (start, length)-sorted arc index sequence, so output order is
-deterministic and independent of set iteration order.
+Enumeration works in arc-index space over one :class:`ArcTable` per algebra:
+a diagram is an ascending tuple of indices into the (start, length)-sorted
+arcs, found by clique search over a compatibility graph and emitted in lex
+order, so output order is deterministic and independent of set iteration
+order.  The single-diagram operations in :mod:`monobrick.poset` work on
+:class:`Diagram` objects and never build a table.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from monobrick.arcs import Algebra, Arc, Crossing, arc_length, crossing_kind
+from monobrick.arcs import (
+    Algebra,
+    Arc,
+    Crossing,
+    HomKind,
+    arc_length,
+    crossing_kind,
+    hom_kind,
+    submodule_arcs,
+)
 
 DEFAULT_BUDGET = {"A": 10, "B": 7}
 
@@ -97,61 +113,154 @@ def iter_index_cliques(adjacency: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All cliques of a graph given as bitmask adjacency rows, lex order.
 
     Yields index tuples; a clique always appears before its extensions and
-    extensions are explored in ascending index order.
+    extensions are explored in ascending index order.  The search keeps an
+    explicit stack of (clique, candidates) pairs: children are pushed from
+    the highest index down, so the lowest is popped first.
     """
-
-    def rec(chosen: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+    stack = [((), (1 << len(adjacency)) - 1)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        chosen, cand = pop()
         yield chosen
-        m = cand
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            above = ~((1 << (i + 1)) - 1)
-            yield from rec(chosen + (i,), cand & adjacency[i] & above)
-
-    yield from rec((), (1 << len(adjacency)) - 1)
+        higher = 0
+        while cand:
+            i = cand.bit_length() - 1
+            bit = 1 << i
+            cand ^= bit
+            push((chosen + (i,), higher & adjacency[i]))
+            higher |= bit
 
 
 def resolve_budget(algebra: Algebra, override: int | None = None) -> int:
     return DEFAULT_BUDGET[algebra.kind] if override is None else override
 
 
-def enumerate_diagrams(
-    algebra: Algebra, kind: DiagramKind, budget: int | None = None
-) -> Iterator[Diagram]:
+def check_budget(algebra: Algebra, budget: int | None = None) -> None:
+    """Raise :class:`BudgetExceeded` when the rank of ``algebra`` is over the cap."""
     limit = resolve_budget(algebra, budget)
     if algebra.rank > limit:
         raise BudgetExceeded(
             f"rank {algebra.rank} of {algebra} exceeds enumeration budget {limit}"
         )
-    arcs = algebra.arcs()
-    allowed = _ALLOWED_CROSSINGS[kind]
-    adjacency = [0] * len(arcs)
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if crossing_kind(arcs[i], arcs[j], algebra.marks) in allowed:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
 
-    keep = None
-    if kind is DiagramKind.COFINALLY_CLOSED:
-        # Imported here: the poset module works on Diagram objects.
-        from monobrick.poset import is_cofinally_closed
 
-        keep = is_cofinally_closed
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
 
-    for indices in iter_index_cliques(adjacency):
-        diagram = Diagram(algebra, frozenset(arcs[i] for i in indices))
-        if keep is not None and not keep(diagram):
-            continue
-        yield diagram
+
+class ArcTable:
+    """Index-space view of one algebra's arcs, built once for enumeration.
+
+    ``arcs`` are in (start, length) order, ``index`` maps each arc to its
+    position, and bit ``i`` of every mask stands for ``arcs[i]``.
+    ``adjacency`` holds the compatibility rows of the monobrick and the
+    semibrick kinds.  ``prefixes[p]`` marks the submodule arcs of arc ``p``
+    (``p`` included) and ``bad[p]`` the arcs ``m`` with
+    ``hom_kind(arcs[p], m) == NONZERO_NON_INJECTION``.
+    """
+
+    def __init__(self, algebra: Algebra) -> None:
+        arcs = tuple(algebra.arcs())
+        index = {arc: i for i, arc in enumerate(arcs)}
+        mono_ok = _ALLOWED_CROSSINGS[DiagramKind.MONOBRICK]
+        semi_ok = _ALLOWED_CROSSINGS[DiagramKind.SEMIBRICK]
+        mono = [0] * len(arcs)
+        semi = [0] * len(arcs)
+        for i, a in enumerate(arcs):
+            for j in range(i + 1, len(arcs)):
+                found = crossing_kind(a, arcs[j], algebra.marks)
+                if found in mono_ok:
+                    mono[i] |= 1 << j
+                    mono[j] |= 1 << i
+                if found in semi_ok:
+                    semi[i] |= 1 << j
+                    semi[j] |= 1 << i
+        self.algebra = algebra
+        self.arcs = arcs
+        self.index = index
+        self.adjacency = {
+            DiagramKind.MONOBRICK: tuple(mono),
+            DiagramKind.SEMIBRICK: tuple(semi),
+        }
+        self.prefixes = tuple(
+            sum(1 << index[sub] for sub in submodule_arcs(p, algebra))
+            for p in arcs
+        )
+        self.bad = tuple(
+            sum(
+                1 << j
+                for j, m in enumerate(arcs)
+                if hom_kind(p, m, algebra) is HomKind.NONZERO_NON_INJECTION
+            )
+            for p in arcs
+        )
+
+    def closure(self, indices: Iterable[int]) -> int:
+        """Mask of the cofinal closure of the arcs at ``indices``.
+
+        With ``C`` the member mask this is
+        ``C | {p in OR(prefixes[C]) & ~C : bad[p] & C == 0}``, the mask form
+        of :func:`monobrick.poset.cofinal_closure`.
+        """
+        members = 0
+        reach = 0
+        for i in indices:
+            members |= 1 << i
+            reach |= self.prefixes[i]
+        closed = members
+        candidates = reach & ~members
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if not self.bad[low.bit_length() - 1] & members:
+                closed |= low
+        return closed
+
+    def diagrams(self, kind: DiagramKind) -> Iterator[tuple[int, ...]]:
+        """Ascending index tuples of every diagram of ``kind``, in lex order."""
+        if kind is not DiagramKind.COFINALLY_CLOSED:
+            return iter_index_cliques(self.adjacency[kind])
+        closed = {
+            self.closure(clique)
+            for clique in iter_index_cliques(self.adjacency[DiagramKind.SEMIBRICK])
+        }
+        return iter(sorted(map(_bits, closed)))
+
+
+@functools.lru_cache(maxsize=16)
+def arc_table(algebra: Algebra) -> ArcTable:
+    """The :class:`ArcTable` of ``algebra``, built on first use."""
+    return ArcTable(algebra)
+
+
+def enumerate_diagrams(
+    algebra: Algebra, kind: DiagramKind, budget: int | None = None
+) -> Iterator[Diagram]:
+    """Every diagram of ``kind``, in lex order on arc indices.
+
+    The budget is checked when this is called, before any work is done.
+    """
+    check_budget(algebra, budget)
+    table = arc_table(algebra)
+    arcs = table.arcs
+    return (
+        Diagram(algebra, frozenset([arcs[i] for i in clique]))
+        for clique in table.diagrams(kind)
+    )
 
 
 def count_diagrams(
     algebra: Algebra, kind: DiagramKind, budget: int | None = None
 ) -> int:
-    return sum(1 for _ in enumerate_diagrams(algebra, kind, budget))
+    check_budget(algebra, budget)
+    return sum(1 for _ in arc_table(algebra).diagrams(kind))
 
 
 def schroder(n: int) -> int:
@@ -225,12 +334,55 @@ def diagram_to_json(diagram: Diagram) -> dict:
     }
 
 
+def json_lines(
+    table: ArcTable, cliques: Iterable[tuple[int, ...]]
+) -> Iterator[str]:
+    """Compact :func:`diagram_to_json` text of each index tuple, one line each.
+
+    Ascending indices are already the ``sorted_arcs`` order, so every line
+    is joined from precomputed per-arc fragments without building a
+    :class:`Diagram`.
+    """
+    algebra = table.algebra
+    head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
+    fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
+    for clique in cliques:
+        yield head + ",".join([fragments[i] for i in clique]) + "]}\n"
+
+
+def json_field(data: dict, key: str):
+    """``data[key]``, or ValueError naming the missing field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    if key not in data:
+        raise ValueError(f'missing field "{key}"')
+    return data[key]
+
+
+def json_int(value, field: str) -> int:
+    """``value`` when it is a JSON integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f'field "{field}" must be an integer, got {value!r}')
+    return value
+
+
+def json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f'field "{field}" must be a list, got {value!r}')
+    return value
+
+
 def diagram_from_json(data: dict) -> Diagram:
-    try:
-        algebra = Algebra(str(data["algebra"]), int(data["n"]))
-        raw = [Arc(int(s), int(e)) for s, e in data["arcs"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed diagram object: {exc}") from exc
+    kind = json_field(data, "algebra")
+    if not isinstance(kind, str):
+        raise ValueError(f'field "algebra" must be a string, got {kind!r}')
+    algebra = Algebra(kind, json_int(json_field(data, "n"), "n"))
+    raw = []
+    for k, pair in enumerate(json_list(json_field(data, "arcs"), "arcs")):
+        field = f"arcs[{k}]"
+        if len(json_list(pair, field)) != 2:
+            raise ValueError(f'field "{field}" must be a [start, end] pair')
+        raw.append(Arc(json_int(pair[0], field), json_int(pair[1], field)))
     arcs = frozenset(raw)
     if len(arcs) != len(raw):
         raise ValueError("diagram lists a duplicate arc")

@@ -24,7 +24,14 @@ from itertools import combinations
 from typing import Iterator
 
 from monobrick.arcs import Algebra, Arc
-from monobrick.diagrams import Diagram, DiagramKind, crossing_violation
+from monobrick.diagrams import (
+    Diagram,
+    DiagramKind,
+    crossing_violation,
+    json_field,
+    json_int,
+    json_list,
+)
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,9 @@ def partition_to_json(partition: NclPartition) -> dict:
 
 
 def partition_from_json(data: dict) -> NclPartition:
-    try:
-        n = int(data["n"])
-        blocks = frozenset(
-            frozenset(int(x) for x in block) for block in data["blocks"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed partition object: {exc}") from exc
-    return NclPartition(n, blocks)
+    n = json_int(json_field(data, "n"), "n")
+    blocks = []
+    for k, block in enumerate(json_list(json_field(data, "blocks"), "blocks")):
+        field = f"blocks[{k}]"
+        blocks.append(frozenset(json_int(x, field) for x in json_list(block, field)))
+    return NclPartition(n, frozenset(blocks))

@@ -11,6 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 from monobrick import cli
+from monobrick.arcs import Algebra
+from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import CheckResult
 
 
@@ -56,11 +58,32 @@ def test_enumerate_counts(runner, family, n, kind, expected):
     assert result.output.splitlines()[-1] == '{"count":%d}' % expected
 
 
-def test_enumerate_is_deterministic_and_worker_independent(runner):
+def test_enumerate_is_deterministic(runner):
     args = ["enumerate", "--algebra", "B", "--n", "3"]
     first = invoke(runner, args)
-    second = invoke(runner, args + ["--workers", "4"])
+    second = invoke(runner, args)
     assert first.output == second.output
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+@pytest.mark.parametrize(
+    ("family", "ranks"), [("A", range(0, 7)), ("B", range(1, 6))]
+)
+def test_enumerate_stream_matches_library_encoding(runner, family, ranks, kind):
+    # The CLI joins per-arc fragments; the library builds Diagram objects
+    # and encodes them with json.dumps.  Both must give the same bytes.
+    for rank in ranks:
+        algebra = Algebra(family, rank)
+        expected = "".join(
+            json.dumps(diagram_to_json(d), separators=(",", ":")) + "\n"
+            for d in enumerate_diagrams(algebra, cli._KINDS[kind])
+        )
+        expected += '{"count":%d}\n' % expected.count("\n")
+        result = invoke(
+            runner,
+            ["enumerate", "--algebra", family, "--n", str(rank), "--kind", kind],
+        )
+        assert result.output == expected, (family, rank, kind)
 
 
 def test_enumerate_budget_exit_code(runner):
@@ -92,9 +115,24 @@ def test_enumerate_usage_errors(runner):
     assert runner.invoke(
         cli.main, ["enumerate", "--algebra", "B", "--n", "0"]
     ).exit_code == 2
-    assert runner.invoke(
-        cli.main, ["enumerate", "--algebra", "A", "--n", "2", "--workers", "0"]
-    ).exit_code == 2
+
+
+def test_enumerate_over_budget_leaves_out_file_alone(runner, tmp_path):
+    target = tmp_path / "stream.jsonl"
+    target.write_bytes(b"earlier output\n")
+    result = runner.invoke(
+        cli.main,
+        ["enumerate", "--algebra", "A", "--n", "11", "--out", str(target)],
+    )
+    assert result.exit_code == 3
+    assert target.read_bytes() == b"earlier output\n"
+    missing = tmp_path / "absent.jsonl"
+    result = runner.invoke(
+        cli.main,
+        ["enumerate", "--algebra", "B", "--n", "8", "--out", str(missing)],
+    )
+    assert result.exit_code == 3
+    assert not missing.exists()
 
 
 def test_enumerate_out_file_matches_stdout(runner, tmp_path):
@@ -216,6 +254,41 @@ def test_closure_rejects_malformed_payloads(runner):
         assert result.exit_code == 4, payload
 
 
+@pytest.mark.parametrize(
+    ("payload", "field"),
+    [
+        ('{"n":3,"algebra":"A","arcs":[[1.7,2.2]]}', "arcs[0]"),
+        ('{"n":3,"algebra":"A","arcs":[[1,2.0]]}', "arcs[0]"),
+        ('{"n":true,"algebra":"A","arcs":[]}', '"n"'),
+        ('{"n":"3","algebra":"A","arcs":[]}', '"n"'),
+        ('{"n":3.0,"algebra":"A","arcs":[]}', '"n"'),
+        ('{"n":3,"algebra":"A","arcs":[["1","2"]]}', "arcs[0]"),
+        ('{"n":3,"algebra":"A","arcs":[[1,true]]}', "arcs[0]"),
+        ('{"n":3,"algebra":"A","arcs":{"1":2}}', '"arcs"'),
+        ('{"n":3,"algebra":"A","arcs":[[1,2,3]]}', "arcs[0]"),
+        ('{"n":3,"algebra":"A","arcs":[12]}', "arcs[0]"),
+        ('{"n":3,"algebra":1,"arcs":[]}', '"algebra"'),
+        ('{"n":3,"algebra":"A"}', '"arcs"'),
+    ],
+)
+@pytest.mark.parametrize("command", ["closure", "mmax", "render", "ncl"])
+def test_diagram_input_refuses_coercion(runner, command, payload, field):
+    result = runner.invoke(cli.main, [command], input=payload)
+    assert result.exit_code == 4, result.output
+    assert field in result.stderr
+
+
+def test_single_diagram_queries_build_no_arc_table(runner):
+    # An algebra-wide table is quadratic in the arc count; a query on one
+    # diagram at a large rank must not pay for it.
+    arc_table.cache_clear()
+    big = '{"n":40,"algebra":"B","arcs":[[3,2]]}'
+    for command in ("closure", "mmax", "render", "ncl"):
+        payload = CHAIN if command == "ncl" else big
+        assert invoke(runner, [command], input=payload).exit_code == 0
+    assert arc_table.cache_info().currsize == 0
+
+
 def test_closure_reads_from_file(runner, tmp_path):
     source = tmp_path / "diagram.json"
     source.write_text(CHAIN, encoding="utf-8")
@@ -262,6 +335,24 @@ def test_ncl_names_the_violated_condition(runner, payload, condition):
     result = runner.invoke(cli.main, ["ncl"], input=payload)
     assert result.exit_code == 4
     assert condition in result.stderr
+
+
+@pytest.mark.parametrize(
+    ("payload", "field"),
+    [
+        ('{"n":4,"blocks":[[1.5,2],[3,4]]}', "blocks[0]"),
+        ('{"n":4,"blocks":[[1,2],[3,true]]}', "blocks[1]"),
+        ('{"n":4,"blocks":[["1",2],[3,4]]}', "blocks[0]"),
+        ('{"n":4,"blocks":[1,2,3,4]}', "blocks[0]"),
+        ('{"n":4,"blocks":{"1":[2]}}', '"blocks"'),
+        ('{"n":"4","blocks":[[1,2],[3,4]]}', '"n"'),
+        ('{"n":4.0,"blocks":[[1,2],[3,4]]}', '"n"'),
+    ],
+)
+def test_ncl_partition_input_refuses_coercion(runner, payload, field):
+    result = runner.invoke(cli.main, ["ncl"], input=payload)
+    assert result.exit_code == 4, result.output
+    assert field in result.stderr
 
 
 def test_ncl_requires_exactly_one_payload_kind(runner):

@@ -8,6 +8,7 @@ from monobrick.diagrams import (
     BudgetExceeded,
     Diagram,
     DiagramKind,
+    arc_table,
     catalan,
     central_binomial,
     count_closed_form,
@@ -22,6 +23,7 @@ from monobrick.diagrams import (
     iter_index_cliques,
     schroder,
 )
+from monobrick.poset import cofinal_closure, is_cofinally_closed
 
 A3 = Algebra.linear_a(3)
 B2 = Algebra.cyclic_b(2)
@@ -173,8 +175,10 @@ def test_json_rejects_bad_input():
         diagram_from_json({"n": 3, "algebra": "B", "arcs": [[1, 2], [1, 2]]})
     with pytest.raises(ValueError):
         diagram_from_json({"n": 3, "algebra": "A", "arcs": [[3, 2]]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='"n"'):
         diagram_from_json({"algebra": "B", "arcs": []})
+    with pytest.raises(ValueError, match="JSON object"):
+        diagram_from_json([3, "B", []])
 
 
 @given(st.sampled_from([Algebra.linear_a(2), A3, B2, B3]), st.data())
@@ -184,3 +188,47 @@ def test_json_roundtrip_random(algebra, data):
     chosen = frozenset(data.draw(st.permutations(arcs))[:size])
     diagram = Diagram(algebra, chosen)
     assert diagram_from_json(diagram_to_json(diagram)) == diagram
+
+
+# -- arc table kernel --------------------------------------------------
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [Algebra.linear_a(r) for r in range(7)] + [Algebra.cyclic_b(r) for r in range(1, 6)],
+    ids=str,
+)
+def test_mask_closure_matches_diagram_closure(algebra):
+    table = arc_table(algebra)
+    for diagram in enumerate_diagrams(algebra, DiagramKind.MONOBRICK):
+        got = table.closure(table.index[a] for a in diagram.arcs)
+        want = cofinal_closure(diagram)
+        assert got == _mask(table.index[a] for a in want.arcs), diagram
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [Algebra.linear_a(r) for r in range(8)] + [Algebra.cyclic_b(r) for r in range(1, 7)],
+    ids=str,
+)
+def test_cofinally_closed_routes_agree(algebra):
+    # Production closes the semibricks; the mask filter and the Diagram-level
+    # filter both screen every monobrick.  All three lists must be identical,
+    # order included.
+    table = arc_table(algebra)
+    produced = list(table.diagrams(DiagramKind.COFINALLY_CLOSED))
+    mask_filter = [
+        clique
+        for clique in iter_index_cliques(table.adjacency[DiagramKind.MONOBRICK])
+        if table.closure(clique) == _mask(clique)
+    ]
+    diagram_filter = [
+        tuple(table.index[a] for a in d.sorted_arcs())
+        for d in enumerate_diagrams(algebra, DiagramKind.MONOBRICK)
+        if is_cofinally_closed(d)
+    ]
+    assert produced == mask_filter == diagram_filter
+    assert len(produced) == count_closed_form(algebra, DiagramKind.COFINALLY_CLOSED)
