@@ -13,11 +13,24 @@ closure flags, the W and F maps) instead factor every morphism through its
 image, so they only consult the subquotient tables; the element route would
 be hopeless at dimension 36.  Tests compare both styles where both are
 affordable.
+
+A subquotient table lists the (subobject, quotient) pairs of one member,
+one per tuple of subspaces, one subspace per vertex, that every arrow maps
+into itself.  Whether a tuple is stable across an arrow, and that arrow's
+block in the sub- and quotient representation, depend only on the arrow's
+matrix and on the two subspaces.  So each distinct arrow matrix gets one
+dense table, built on first use and shared by every member carrying that
+matrix: indexed by the positions of the two subspaces in ``fp.subspaces``,
+it holds an interned block-pair id or a sentinel for unstable pairs.  A
+member's table then walks the subspace tuples vertex by vertex, drops a
+tuple at the first unstable arrow, and assembles the sub- and quotient
+representations from looked-up blocks before identifying them.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +48,9 @@ ZERO: Member = ()
 DEFAULT_DIM_BOUND = 6
 
 _ELEMENT_BUDGET = 70_000
+
+# Arrow-table entry for a pair of subspaces the arrow does not map inside.
+_UNSTABLE = -1
 
 
 class OracleError(RuntimeError):
@@ -112,6 +128,9 @@ class Oracle:
         self._identify_cache: dict[Rep, Member] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
+        self._arrow_tables: dict[tuple[fp.Matrix, int, int], array] = {}
+        self._blocks: list[tuple[fp.Matrix, fp.Matrix]] = []
+        self._block_ids: dict[tuple[fp.Matrix, fp.Matrix], int] = {}
 
         self._indec_hom = tuple(
             tuple(
@@ -121,6 +140,7 @@ class Oracle:
         )
         self.members = self._build_universe()
         self.index = {m: i for i, m in enumerate(self.members)}
+        self._total_dim = {m: self.dim_of(m) for m in self.members}
         self._by_dims: dict[tuple[int, ...], list[Member]] = {}
         for m in self.members:
             self._by_dims.setdefault(self.dims_of(m), []).append(m)
@@ -271,6 +291,23 @@ class Oracle:
             self._hom_basis_cache[(x, y)] = cached
         return list(cached)
 
+    def _expand(self, basis, x_dims, y_dims, include_zero: bool):
+        """Yield the combination of ``basis`` for every coefficient vector."""
+        p = self.p
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            if not include_zero and not any(coeffs):
+                continue
+            yield tuple(
+                tuple(
+                    tuple(
+                        sum(c * el[v][i][j] for c, el in zip(coeffs, basis)) % p
+                        for j in range(y_dims[v])
+                    )
+                    for i in range(x_dims[v])
+                )
+                for v in range(len(x_dims))
+            )
+
     def hom_elements(self, x: Member, y: Member, include_zero: bool = False):
         """Yield every (or every nonzero) hom element as per-vertex matrices."""
         basis = self.hom_basis(x, y)
@@ -278,26 +315,7 @@ class Oracle:
             raise OracleError(
                 f"hom space of dimension {len(basis)} is too large to iterate"
             )
-        x_dims, y_dims = self.dims_of(x), self.dims_of(y)
-        p = self.p
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not include_zero and not any(coeffs):
-                continue
-            combined = []
-            for v in range(len(x_dims)):
-                rows = []
-                for i in range(x_dims[v]):
-                    rows.append(
-                        tuple(
-                            sum(
-                                c * el[v][i][j] for c, el in zip(coeffs, basis)
-                            )
-                            % p
-                            for j in range(y_dims[v])
-                        )
-                    )
-                combined.append(tuple(rows))
-            yield tuple(combined)
+        yield from self._expand(basis, self.dims_of(x), self.dims_of(y), include_zero)
 
     # ------------------------------------------------------------------
     # identification
@@ -354,59 +372,86 @@ class Oracle:
         basis = self._hom_basis_reps(rep, target)
         if self.p ** len(basis) > _ELEMENT_BUDGET:
             raise OracleError("hom space too large for the exhaustive audit")
-        for coeffs in itertools.product(range(self.p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            element = []
-            for v in range(len(rep.dims)):
-                rows = tuple(
-                    tuple(
-                        sum(c * el[v][i][j] for c, el in zip(coeffs, basis))
-                        % self.p
-                        for j in range(target.dims[v])
-                    )
-                    for i in range(rep.dims[v])
-                )
-                element.append(rows)
-            if element_is_invertible(tuple(element), rep.dims, target.dims, self.p):
+        for element in self._expand(basis, rep.dims, target.dims, False):
+            if element_is_invertible(element, rep.dims, target.dims, self.p):
                 return
         raise OracleError(f"no isomorphism onto {member} exists")
 
     # ------------------------------------------------------------------
     # subquotient tables
 
-    def _sub_rep(self, rep: Rep, spaces) -> Rep:
-        dims = tuple(len(basis) for basis, _ in spaces)
-        mats = []
-        for a, (s, t) in enumerate(self.preset.arrows):
-            basis_s = spaces[s][0]
-            basis_t, pivots_t = spaces[t]
-            rows = tuple(
-                fp.coords_in_span(
-                    fp.vec_mat(u, rep.mats[a], self.p), basis_t, pivots_t, self.p
-                )
-                for u in basis_s
-            )
-            mats.append(rows)
-        return Rep(dims, tuple(mats))
+    def _arrow_table(self, mat: fp.Matrix, d_s: int, d_t: int) -> array:
+        """Block-pair ids of one arrow matrix over all pairs of subspaces.
 
-    def _quot_rep(self, rep: Rep, spaces) -> Rep:
-        nonpivots = [
-            tuple(c for c in range(rep.dims[v]) if c not in spaces[v][1])
-            for v in range(len(rep.dims))
-        ]
-        dims = tuple(len(np) for np in nonpivots)
-        mats = []
-        for a, (s, t) in enumerate(self.preset.arrows):
-            basis_t, pivots_t = spaces[t]
-            rows = []
-            for c in nonpivots[s]:
-                unit = tuple(1 if i == c else 0 for i in range(rep.dims[s]))
-                image = fp.vec_mat(unit, rep.mats[a], self.p)
-                reduced = fp.reduce_vec(image, basis_t, pivots_t, self.p)
-                rows.append(tuple(reduced[c2] for c2 in nonpivots[t]))
-            mats.append(tuple(rows))
-        return Rep(dims, tuple(mats))
+        Entry ``i * n_t + j``, with ``n_t = len(fp.subspaces(d_t, p))``,
+        covers source subspace ``fp.subspaces(d_s, p)[i]`` and target
+        subspace ``fp.subspaces(d_t, p)[j]``.  It is ``_UNSTABLE`` unless
+        the matrix maps the first into the second; otherwise it is the id
+        in ``self._blocks`` of the arrow's (sub block, quotient block): the
+        images of the source basis in coordinates of the target basis, and
+        the matrix on the non-pivot coordinates after reducing modulo the
+        two subspaces.
+        """
+        key = (mat, d_s, d_t)
+        table = self._arrow_tables.get(key)
+        if table is not None:
+            return table
+        p = self.p
+        blocks, block_ids = self._blocks, self._block_ids
+
+        def source(space):
+            # the basis, its images, and the non-pivot (quotient) coordinates
+            basis, pivots = space
+            images = [fp.vec_mat(u, mat, p) for u in basis]
+            return basis, images, [c for c in range(d_s) if c not in pivots]
+
+        def target(space):
+            # every matrix row reduced modulo the space, at its non-pivots,
+            # and the same numbers by column
+            basis, pivots = space
+            free = [c for c in range(d_t) if c not in pivots]
+            reduced = [fp.reduce_vec(row, basis, pivots, p) for row in mat]
+            reduced = [tuple(r[c] for c in free) for r in reduced]
+            return pivots, reduced, list(zip(*reduced))
+
+        def entry(src, tgt) -> int:
+            basis_s, images, free_s = src
+            pivots_t, reduced, columns = tgt
+            # Reduction modulo the target is linear, so u M lies in it iff
+            # u times the reduced rows vanishes.
+            for u in basis_s:
+                for col in columns:
+                    if sum(x * y for x, y in zip(u, col)) % p:
+                        return _UNSTABLE
+            pair = (
+                tuple(tuple(im[c] for c in pivots_t) for im in images),
+                tuple(reduced[c] for c in free_s),
+            )
+            bid = block_ids.get(pair)
+            if bid is None:
+                bid = block_ids[pair] = len(blocks)
+                blocks.append(pair)
+            return bid
+
+        sources, targets = fp.subspaces(d_s, p), fp.subspaces(d_t, p)
+        n_t = len(targets)
+        table = array("i", [_UNSTABLE]) * (len(sources) * n_t)
+        # Only the shorter side is prepared up front: the other one may run
+        # to tens of thousands of subspaces (42,176 in F_5^5).
+        if len(sources) <= n_t:
+            prepared = [source(space) for space in sources]
+            for j, space in enumerate(targets):
+                tgt = target(space)
+                for i, src in enumerate(prepared):
+                    table[i * n_t + j] = entry(src, tgt)
+        else:
+            prepared = [target(space) for space in targets]
+            for i, space in enumerate(sources):
+                src = source(space)
+                for j, tgt in enumerate(prepared):
+                    table[i * n_t + j] = entry(src, tgt)
+        self._arrow_tables[key] = table
+        return table
 
     def _semisimple_pairs(self, member: Member) -> frozenset[tuple[Member, Member]]:
         counts = Counter(member)
@@ -442,31 +487,56 @@ class Oracle:
         if all(fp.is_zero_matrix(m) for m in rep.mats):
             pairs = self._semisimple_pairs(member)
         else:
-            pairs = {(ZERO, member), (member, ZERO)}
-            per_vertex = [fp.subspaces(d, self.p) for d in rep.dims]
-            total = rep.total_dim
-            for spaces in itertools.product(*per_vertex):
-                sub_dim = sum(len(basis) for basis, _ in spaces)
-                if sub_dim in (0, total):
-                    continue
-                stable = True
-                for a, (s, t) in enumerate(self.preset.arrows):
-                    basis_t, pivots_t = spaces[t]
-                    for u in spaces[s][0]:
-                        image = fp.vec_mat(u, rep.mats[a], self.p)
-                        if not fp.in_span(image, basis_t, pivots_t, self.p):
-                            stable = False
-                            break
-                    if not stable:
-                        break
-                if not stable:
-                    continue
-                sub = self.identify(self._sub_rep(rep, spaces))
-                quot = self.identify(self._quot_rep(rep, spaces))
-                pairs.add((sub, quot))
-            pairs = frozenset(pairs)
+            pairs = self._stable_pairs(member, rep)
         self._table_cache[member] = pairs
         return pairs
+
+    def _stable_pairs(
+        self, member: Member, rep: Rep
+    ) -> frozenset[tuple[Member, Member]]:
+        """Identify the sub and quotient of every nontrivial stable tuple."""
+        p, dims, blocks = self.p, rep.dims, self._blocks
+        arrows = self.preset.arrows
+        nv = len(dims)
+        spaces = [fp.subspaces(d, p) for d in dims]
+        space_dims = [[len(basis) for basis, _ in sp] for sp in spaces]
+        # Each arrow is looked up once both of its ends have a subspace.
+        checks = [[] for _ in range(nv)]
+        for a, (s, t) in enumerate(arrows):
+            table = self._arrow_table(rep.mats[a], dims[s], dims[t])
+            checks[max(s, t)].append((a, s, t, len(spaces[t]), table))
+        total = rep.total_dim
+        chosen = [0] * nv
+        ids = [0] * len(arrows)
+        seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        pairs = {(ZERO, member), (member, ZERO)}
+
+        def walk(v: int) -> None:
+            if v == nv:
+                sub_dims = tuple(space_dims[w][chosen[w]] for w in range(nv))
+                key = (sub_dims, tuple(ids))
+                if sum(sub_dims) in (0, total) or key in seen:
+                    return
+                seen.add(key)
+                sub = Rep(sub_dims, tuple(blocks[b][0] for b in ids))
+                quot = Rep(
+                    tuple(d - k for d, k in zip(dims, sub_dims)),
+                    tuple(blocks[b][1] for b in ids),
+                )
+                pairs.add((self.identify(sub), self.identify(quot)))
+                return
+            for x in range(len(spaces[v])):
+                chosen[v] = x
+                for a, s, t, n_t, table in checks[v]:
+                    bid = table[chosen[s] * n_t + chosen[t]]
+                    if bid == _UNSTABLE:
+                        break
+                    ids[a] = bid
+                else:
+                    walk(v + 1)
+
+        walk(0)
+        return frozenset(pairs)
 
     def subobjects(self, member: Member) -> frozenset[Member]:
         return frozenset(a for a, _ in self.subquotients(member))
@@ -661,11 +731,12 @@ class Oracle:
                 extensions = False
                 break
 
+        by_dim = Counter(self._total_dim[x] for x in e)
         skipped = sum(
-            1
-            for s in e
-            for q in e
-            if self.dim_of(s) + self.dim_of(q) > self.dim_bound
+            n * m
+            for d, n in by_dim.items()
+            for d2, m in by_dim.items()
+            if d + d2 > self.dim_bound
         )
         return ClosureFlags(
             extensions=extensions,

@@ -193,6 +193,8 @@ _BUILDERS = {
 
 PRESET_NAMES = tuple(_BUILDERS)
 
+FIELD_SIZES = (2, 3, 5)
+
 
 def _validate(preset: Preset) -> Preset:
     for name, rep in zip(preset.indec_names, preset.indec_reps):
@@ -212,7 +214,7 @@ def get_preset(name: str, p: int = 2) -> Preset:
     """Look up a preset, optionally over a different prime field."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if p not in (2, 3, 5):
+    if p not in FIELD_SIZES:
         raise ValueError("supported field sizes are 2, 3 and 5")
     preset = _BUILDERS[name]()
     if p != 2:

@@ -6,10 +6,15 @@ click's CliRunner, so stdout and stderr are captured separately.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import monobrick
 from monobrick import cli
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
@@ -23,6 +28,18 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(cli.main, args, catch_exceptions=False, **kwargs)
+
+
+def run_module(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports this package."""
+    src = str(Path(monobrick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 # -- enumerate ---------------------------------------------------------
@@ -392,6 +409,17 @@ def test_oracle_verify_rejects_nonprime_characteristic(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("p", ["1", "4", "7"])
+def test_oracle_verify_refuses_unsupported_fields_without_traceback(p):
+    proc = run_module(
+        "-m", "monobrick.cli", "oracle", "verify", "--preset", "nak2", "-p", p
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "Usage:" in proc.stderr and "is not one of '2', '3', '5'" in proc.stderr
+
+
 def test_oracle_verify_reports_failures(runner, monkeypatch):
     stub = [CheckResult("census", False, "wrong count"), CheckResult("ok", True)]
     monkeypatch.setattr(cli, "run_checks", lambda preset, p=2: stub)
@@ -400,6 +428,15 @@ def test_oracle_verify_reports_failures(runner, monkeypatch):
     lines = result.output.splitlines()
     assert "FAIL census: wrong count" in lines
     assert "1 of 2 checks passed" in lines
+
+
+def test_in_file_is_closed_after_reading(tmp_path):
+    source = tmp_path / "in.json"
+    source.write_text('{"n":3,"algebra":"A","arcs":[[1,4]]}')
+    proc = run_module("-X", "dev", "-m", "monobrick.cli", "closure", "--in", str(source))
+    assert proc.returncode == 0
+    assert proc.stdout == '{"n":3,"algebra":"A","arcs":[[1,2],[1,3],[1,4]]}\n'
+    assert "ResourceWarning" not in proc.stderr
 
 
 # -- render --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Checks for the finite-field module model."""
 
+import random
 from itertools import product
 
 import pytest
@@ -333,6 +334,22 @@ def test_closure_flags_of_the_whole_universe():
     # member dims are (0, 1, 1, 2, 2, 2, 2, 2): with five dim-2 members and
     # two dim-1 members, 5*2 + 2*5 + 5*5 ordered pairs overshoot the bound
     assert flags.skipped_extension_pairs == 45
+
+
+@pytest.mark.parametrize("name", ["nak2", "b3"])
+def test_skipped_extension_pairs_match_the_double_loop(name):
+    oracle = get_oracle(name)
+    rng = random.Random(f"skipped-{name}")
+    for _ in range(12):
+        size = rng.randrange(len(oracle.members) + 1)
+        e = {ZERO} | set(rng.sample(oracle.members, size))
+        literal = sum(
+            1
+            for s in e
+            for q in e
+            if oracle.dim_of(s) + oracle.dim_of(q) > oracle.dim_bound
+        )
+        assert oracle.closure_flags(e).skipped_extension_pairs == literal
 
 
 def test_closure_flags_of_the_four_generator_set():

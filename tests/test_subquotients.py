@@ -1,0 +1,146 @@
+"""Subquotient tables: per-arrow block tables against the brute-force route.
+
+Production builds one block table per arrow matrix and walks subspace
+tuples through it.  The reference here is the direct construction: for
+every tuple of subspaces, test stability vector by vector, then build the
+restricted and the induced quotient representation from scratch.  Both
+routes run on their own fresh oracle, which records every representation
+handed to ``identify``.
+"""
+
+import itertools
+from array import array
+from functools import lru_cache
+
+import pytest
+
+from monobrick import fp
+from monobrick.oracle import _UNSTABLE, ZERO, Oracle
+from monobrick.presets import PRESET_NAMES, Rep, get_preset
+from monobrick.verify import run_checks
+
+CASES = [(name, 2) for name in PRESET_NAMES] + [
+    ("a2_linear", 3),
+    ("nak2", 3),
+    ("a3_source", 3),
+]
+
+
+class RecordingOracle(Oracle):
+    def __init__(self, preset):
+        self.handed: set[Rep] = set()
+        super().__init__(preset)
+
+    def identify(self, rep, strict=False):
+        self.handed.add(rep)
+        return super().identify(rep, strict)
+
+
+def _sub_rep(arrows, p, rep, spaces):
+    dims = tuple(len(basis) for basis, _ in spaces)
+    mats = []
+    for a, (s, t) in enumerate(arrows):
+        basis_t, pivots_t = spaces[t]
+        mats.append(tuple(
+            fp.coords_in_span(fp.vec_mat(u, rep.mats[a], p), basis_t, pivots_t, p)
+            for u in spaces[s][0]
+        ))
+    return Rep(dims, tuple(mats))
+
+
+def _quot_rep(arrows, p, rep, spaces):
+    nonpivots = [
+        tuple(c for c in range(d) if c not in spaces[v][1])
+        for v, d in enumerate(rep.dims)
+    ]
+    mats = []
+    for a, (s, t) in enumerate(arrows):
+        basis_t, pivots_t = spaces[t]
+        rows = []
+        for c in nonpivots[s]:
+            unit = tuple(1 if i == c else 0 for i in range(rep.dims[s]))
+            image = fp.vec_mat(unit, rep.mats[a], p)
+            reduced = fp.reduce_vec(image, basis_t, pivots_t, p)
+            rows.append(tuple(reduced[c2] for c2 in nonpivots[t]))
+        mats.append(tuple(rows))
+    return Rep(tuple(len(n) for n in nonpivots), tuple(mats))
+
+
+def brute_force_subquotients(oracle, member):
+    """Every stable subspace tuple, scanned and built one by one."""
+    rep = oracle.rep_of(member)
+    if all(fp.is_zero_matrix(m) for m in rep.mats):
+        return oracle._semisimple_pairs(member)
+    p, arrows = oracle.p, oracle.preset.arrows
+    pairs = {(ZERO, member), (member, ZERO)}
+    for spaces in itertools.product(*(fp.subspaces(d, p) for d in rep.dims)):
+        if sum(len(basis) for basis, _ in spaces) in (0, rep.total_dim):
+            continue
+        if all(
+            fp.in_span(fp.vec_mat(u, rep.mats[a], p), *spaces[t], p)
+            for a, (s, t) in enumerate(arrows)
+            for u in spaces[s][0]
+        ):
+            pairs.add((
+                oracle.identify(_sub_rep(arrows, p, rep, spaces)),
+                oracle.identify(_quot_rep(arrows, p, rep, spaces)),
+            ))
+    return frozenset(pairs)
+
+
+@lru_cache(maxsize=None)
+def _both_routes(name, p):
+    preset = get_preset(name, p)
+    table, brute = RecordingOracle(preset), RecordingOracle(preset)
+    tables = {m: table.subquotients(m) for m in table.members}
+    brutes = {m: brute_force_subquotients(brute, m) for m in brute.members}
+    return tables, brutes, table.handed, brute.handed
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_block_tables_match_brute_force(name, p):
+    tables, brutes, _, _ = _both_routes(name, p)
+    assert tables.keys() == brutes.keys()
+    for member, pairs in tables.items():
+        assert pairs == brutes[member], member
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_both_routes_hand_identify_the_same_reps(name, p):
+    _, _, from_tables, from_brute = _both_routes(name, p)
+    assert from_tables
+    assert from_tables == from_brute
+
+
+def test_arrow_table_layout_for_the_identity():
+    # F_2^1 has the subspaces 0 and F; the identity maps F into 0 only
+    # when the pair is (F, 0), the one unstable entry.
+    oracle = Oracle(get_preset("a2_linear", 2))
+    table = oracle._arrow_table(((1,),), 1, 1)
+    assert isinstance(table, array) and len(table) == 4
+    assert table[2] == _UNSTABLE
+    assert [oracle._blocks[table[k]] for k in (0, 1, 3)] == [
+        ((), ((1,),)),
+        ((), ((),)),
+        (((1,),), ()),
+    ]
+    assert oracle._arrow_table(((1,),), 1, 1) is table
+
+
+_ARC = ["universe-size", "identification", "census", "arc-agreement"]
+_TAIL = ["structural-identities", "left-schur-closure"]
+EXPECTED_CHECKS = {
+    "a2_linear": _ARC + _TAIL,
+    "a3_linear": _ARC + ["closure-table"] + _TAIL,
+    "a3_source": ["universe-size", "identification", "census", "closure-table"]
+    + _TAIL,
+    "nak2": _ARC + ["closure-table"] + _TAIL,
+    "b3": _ARC + _TAIL,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_checks_verdicts_are_pinned(name, p):
+    got = [(r.name, r.passed, r.detail) for r in run_checks(name, p)]
+    assert got == [(check, True, "") for check in EXPECTED_CHECKS[name]]
