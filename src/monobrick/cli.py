@@ -96,21 +96,21 @@ def _make_algebra(family: str, n: int) -> Algebra:
         raise click.UsageError(str(exc)) from exc
 
 
-def _budget_override(family: str, flag: int | None) -> int | None:
-    if flag is not None:
-        if flag < 1:
-            raise click.UsageError("--budget must be a positive integer")
-        return flag
-    name = f"MONOBRICK_BUDGET_{family}"
-    raw = os.environ.get(name)
+def _budget_override(family: str, flag: str | None) -> int | None:
+    """--budget, else MONOBRICK_BUDGET_<family>, in ASCII digits only: plain
+    ``int()`` also takes underscores, signs, spaces and non-ASCII digits."""
+    name, raw = "--budget", flag
     if raw is None:
-        return None
+        name = f"MONOBRICK_BUDGET_{family}"
+        raw = os.environ.get(name)
+        if raw is None:
+            return None
     try:
-        value = int(raw)
-    except ValueError:
-        raise click.UsageError(f"{name} must be an integer, got {raw!r}") from None
+        value = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than the interpreter converts
+        value = 0
     if value < 1:
-        raise click.UsageError(f"{name} must be positive, got {value}")
+        raise click.UsageError(f"{name} must be a positive integer, got {raw!r}")
     return value
 
 
@@ -173,7 +173,7 @@ def main() -> None:
               help="Arc family: A (linear) or B (cyclic).")
 @click.option("--n", "rank", type=int, required=True, help="Rank of the family.")
 @click.option("--kind", type=_KIND_CHOICE, default="monobrick", show_default=True)
-@click.option("--budget", type=int, default=None,
+@click.option("--budget", metavar="INTEGER", default=None,
               help="Rank cap override (default 10 for A, 7 for B; also via "
                    "MONOBRICK_BUDGET_A / MONOBRICK_BUDGET_B).")
 @_OUT_OPTION
@@ -208,7 +208,7 @@ def _format_flag(value) -> str:
 @click.option("--n-max", type=int, required=True, help="Largest rank to count.")
 @click.option("--n-min", type=int, default=1, show_default=True)
 @click.option("--kind", type=_KIND_CHOICE, default="monobrick", show_default=True)
-@click.option("--budget", type=int, default=None,
+@click.option("--budget", metavar="INTEGER", default=None,
               help="Rank cap override, as for enumerate.")
 @click.option("--format", "fmt", type=click.Choice(["markdown", "csv", "json"]),
               default="markdown", show_default=True)

@@ -154,7 +154,3 @@ def subspaces(d: int, p: int) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
                     rows[r][c] = val
                 out.append((tuple(tuple(row) for row in rows), pivots))
     return tuple(out)
-
-
-def is_invertible(m: Matrix, p: int) -> bool:
-    return len(m) == (len(m[0]) if m else 0) and rank(m, p) == len(m)

@@ -12,7 +12,8 @@ actual hom elements.  Category-level operations (``filt``, ``simp``,
 closure flags, the W and F maps) instead factor every morphism through its
 image, so they only consult the subquotient tables; the element route would
 be hopeless at dimension 36.  Tests compare both styles where both are
-affordable.
+affordable.  ``filt``, ``simp`` and the extension flag share one split
+predicate, ``_splits_in``.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -64,7 +65,8 @@ class ClosureFlags:
     ``skipped_extension_pairs`` counts ordered pairs of members whose
     dimensions sum past the bound, where middle terms of extensions would
     fall outside the modelled universe; the extension flag is silent about
-    those.
+    those.  ``wide`` and ``torsion_free`` are the two kinds of subcategory
+    the paper obtains as special cases, read off the flags.
     """
 
     extensions: bool
@@ -75,6 +77,14 @@ class ClosureFlags:
     images: bool
     cokernels: bool
     skipped_extension_pairs: int
+
+    @property
+    def wide(self) -> bool:
+        return self.extensions and self.kernels and self.cokernels
+
+    @property
+    def torsion_free(self) -> bool:
+        return self.extensions and self.subobjects
 
 
 def _unpack_element(
@@ -87,10 +97,6 @@ def _unpack_element(
         mats.append(rows)
         pos += xv * yv
     return tuple(mats)
-
-
-def element_is_zero(element: tuple[fp.Matrix, ...]) -> bool:
-    return all(fp.is_zero_matrix(m) for m in element)
 
 
 def element_is_injective(
@@ -194,24 +200,11 @@ class Oracle:
         return sum(self.dims_of(member))
 
     def _check_fingerprints(self) -> None:
-        n = len(self.preset.indec_names)
+        indecs = [(n,) for n in self.preset.indec_names]
         seen: dict[tuple, Member] = {}
         for m in self.members:
-            counts = Counter(m)
-            to = tuple(
-                sum(
-                    counts[a] * self._indec_hom[self._order[a]][j]
-                    for a in counts
-                )
-                for j in range(n)
-            )
-            frm = tuple(
-                sum(
-                    counts[a] * self._indec_hom[j][self._order[a]]
-                    for a in counts
-                )
-                for j in range(n)
-            )
+            to = tuple(self.hom_dim(m, n) for n in indecs)
+            frm = tuple(self.hom_dim(n, m) for n in indecs)
             self._fingerprint_to[m] = to
             self._fingerprint_from[m] = frm
             key = (self.dims_of(m), to, frm)
@@ -636,10 +629,17 @@ class Oracle:
         e = frozenset(e)
         if ZERO not in e:
             raise OracleError("a subcategory set must contain the zero module")
-        stray = e - set(self.members)
+        stray = [m for m in e if m not in self.index]
         if stray:
             raise OracleError(f"members outside the universe: {sorted(stray)}")
         return e
+
+    def _splits_in(self, x: Member, e) -> bool:
+        """Does some proper nonzero subobject of x lie in e with its quotient?"""
+        for a, q in self.subquotients(x):
+            if a != ZERO and q != ZERO and a in e and q in e:
+                return True
+        return False
 
     def filt(self, gens) -> frozenset[Member]:
         """Close a generating set under extensions, one dimension at a time.
@@ -651,25 +651,14 @@ class Oracle:
         """
         result = set(self._require_subcat(set(gens) | {ZERO}))
         for x in self.members:
-            if x in result or x == ZERO:
-                continue
-            for a, q in self.subquotients(x):
-                if a != ZERO and q != ZERO and a in result and q in result:
-                    result.add(x)
-                    break
+            if x not in result and self._splits_in(x, result):
+                result.add(x)
         return frozenset(result)
 
     def simp(self, e) -> frozenset[Member]:
         """Members with no proper nonzero subobject-quotient split inside e."""
         e = self._require_subcat(e)
-        out = set()
-        for m in e - {ZERO}:
-            if not any(
-                a != ZERO and q != ZERO and a in e and q in e
-                for a, q in self.subquotients(m)
-            ):
-                out.add(m)
-        return frozenset(out)
+        return frozenset(m for m in e - {ZERO} if not self._splits_in(m, e))
 
     def _union_subobjects(self, e) -> frozenset[Member]:
         out: set[Member] = set()
@@ -688,25 +677,11 @@ class Oracle:
         union_subs = self._union_subobjects(e)
         union_quots = self._union_quotients(e)
 
-        subobjects = all(self.subobjects(x) <= e for x in e)
-        quotients = all(self.quotient_objects(x) <= e for x in e)
-
-        summands = True
-        for x in e:
-            counts = Counter(x)
-            names = sorted(counts, key=self._order.__getitem__)
-            for sub_counts in itertools.product(
-                *(range(counts[n] + 1) for n in names)
-            ):
-                part: list[str] = []
-                for n, k in zip(names, sub_counts):
-                    part.extend([n] * k)
-                if tuple(part) not in e:
-                    summands = False
-                    break
-            if not summands:
-                break
-
+        # Removing one summand at a time reaches every sub-multiset, and
+        # members are sorted tuples, so a removal is again a member's key.
+        summands = all(
+            x[:i] + x[i + 1 :] in e for x in e for i in range(len(x))
+        )
         kernels = all(
             a in e
             for x in e
@@ -723,14 +698,9 @@ class Oracle:
             if b in union_quots
         )
 
-        extensions = True
-        for x in self.members:
-            if x in e:
-                continue
-            if any(a in e and q in e for a, q in self.subquotients(x)):
-                extensions = False
-                break
-
+        extensions = not any(
+            self._splits_in(x, e) for x in self.members if x not in e
+        )
         by_dim = Counter(self._total_dim[x] for x in e)
         skipped = sum(
             n * m
@@ -740,22 +710,14 @@ class Oracle:
         )
         return ClosureFlags(
             extensions=extensions,
-            subobjects=subobjects,
-            quotients=quotients,
+            subobjects=union_subs <= e,
+            quotients=union_quots <= e,
             summands=summands,
             kernels=kernels,
             images=images,
             cokernels=cokernels,
             skipped_extension_pairs=skipped,
         )
-
-    def is_wide(self, e) -> bool:
-        flags = self.closure_flags(e)
-        return flags.extensions and flags.kernels and flags.cokernels
-
-    def is_torsion_free_class(self, e) -> bool:
-        flags = self.closure_flags(e)
-        return flags.extensions and flags.subobjects
 
     def is_left_schur(self, e) -> bool:
         """No member simple in e admits a proper nonzero quotient embedding

@@ -350,8 +350,7 @@ def closure_row_problems(oracle: Oracle, row: ClosureRow) -> list[str]:
     if not flags.extensions:
         problems.append(f"{label}: filtration closure is not extension-closed")
 
-    wide = flags.extensions and flags.kernels and flags.cokernels
-    tf = flags.extensions and flags.subobjects
+    wide, tf = flags.wide, flags.torsion_free
     if wide != (row.mmax == row.members):
         problems.append(
             f"{label}: wide verdict {wide} disagrees with the maximal-element "
@@ -422,13 +421,11 @@ def check_structural_identities(oracle: Oracle) -> CheckResult:
         tfc = oracle.f_map(mm)
         if oracle.simp(tfc) != ov:
             bad("simples of the smallest torsion-free class are not the closure")
-        tfc_flags = oracle.closure_flags(tfc)
-        if not (tfc_flags.extensions and tfc_flags.subobjects):
+        if not oracle.closure_flags(tfc).torsion_free:
             bad("f_map output is not a torsion-free class")
 
         flags = oracle.closure_flags(e)
-        wide = flags.extensions and flags.kernels and flags.cokernels
-        tf = flags.extensions and flags.subobjects
+        wide, tf = flags.wide, flags.torsion_free
         if wide != (mx == mm):
             bad("wide verdict disagrees with maximality")
         if wide != (mm in semis):

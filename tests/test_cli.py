@@ -125,6 +125,35 @@ def test_enumerate_env_budget_override(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("raw", ["1_1", " 2 ", "+3"])
+def test_budget_override_takes_ascii_digits_only(runner, raw):
+    # int() would read these as 11, 2 and 3
+    commands = (
+        ["enumerate", "--algebra", "B", "--n", "3"],
+        ["count", "--algebra", "B", "--n-max", "3"],
+    )
+    for command in commands:
+        result = runner.invoke(cli.main, command + ["--budget", raw])
+        assert result.exit_code == 2
+        assert "--budget" in result.stderr
+        result = runner.invoke(cli.main, command, env={"MONOBRICK_BUDGET_B": raw})
+        assert result.exit_code == 2
+        assert "MONOBRICK_BUDGET_B" in result.stderr
+
+
+def test_budget_override_accepts_plain_digits(runner):
+    command = ["enumerate", "--algebra", "B", "--n", "3"]
+    assert runner.invoke(cli.main, command + ["--budget", "3"]).exit_code == 0
+    assert runner.invoke(cli.main, command + ["--budget", "2"]).exit_code == 3
+    assert runner.invoke(
+        cli.main, command, env={"MONOBRICK_BUDGET_B": "03"}
+    ).exit_code == 0
+    result = runner.invoke(
+        cli.main, ["count", "--algebra", "B", "--n-max", "3", "--budget", "2"]
+    )
+    assert result.exit_code == 3
+
+
 def test_enumerate_usage_errors(runner):
     assert runner.invoke(
         cli.main, ["enumerate", "--algebra", "C", "--n", "2"]

@@ -1,6 +1,7 @@
 """Checks for the finite-field module model."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from monobrick.arcs import hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
-from monobrick.oracle import ZERO, OracleError, get_oracle
+from monobrick.oracle import ZERO, ClosureFlags, OracleError, get_oracle
 from monobrick.presets import PRESET_NAMES, get_preset
 
 ALL = list(PRESET_NAMES)
@@ -352,6 +353,83 @@ def test_skipped_extension_pairs_match_the_double_loop(name):
         assert oracle.closure_flags(e).skipped_extension_pairs == literal
 
 
+def literal_closure_flags(oracle, e) -> ClosureFlags:
+    """Every closure flag by its literal definition, as a second route.
+
+    Subobjects and quotients are scanned member by member, summands over
+    every sub-multiset, and extensions over every member of the universe
+    outside the set.
+    """
+    e = frozenset(e)
+    union_subs = set().union(*(oracle.subobjects(x) for x in e))
+    union_quots = set().union(*(oracle.quotient_objects(x) for x in e))
+
+    def sub_multisets(x):
+        counts = Counter(x)
+        names = sorted(counts, key=oracle._order.__getitem__)
+        for sub_counts in product(*(range(counts[n] + 1) for n in names)):
+            yield tuple(n for n, k in zip(names, sub_counts) for _ in range(k))
+
+    dims = {x: oracle.dim_of(x) for x in e}
+    return ClosureFlags(
+        extensions=not any(
+            any(a in e and q in e for a, q in oracle.subquotients(x))
+            for x in oracle.members
+            if x not in e
+        ),
+        subobjects=all(oracle.subobjects(x) <= e for x in e),
+        quotients=all(oracle.quotient_objects(x) <= e for x in e),
+        summands=all(part in e for x in e for part in sub_multisets(x)),
+        kernels=all(
+            a in e for x in e for a, q in oracle.subquotients(x) if q in union_subs
+        ),
+        images=all((oracle.quotient_objects(x) & union_subs) <= e for x in e),
+        cokernels=all(
+            c in e for y in e for b, c in oracle.subquotients(y) if b in union_quots
+        ),
+        skipped_extension_pairs=sum(
+            1 for s in e for q in e if dims[s] + dims[q] > oracle.dim_bound
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_closure_flags_match_the_literal_scans_on_filt_closures(name):
+    oracle = get_oracle(name, p=2)
+    bricks = oracle.brick_members()
+    closures = {
+        oracle.filt(b for i, b in enumerate(bricks) if bits >> i & 1)
+        for bits in range(1 << len(bricks))
+    }
+    for e in closures:
+        assert oracle.closure_flags(e) == literal_closure_flags(oracle, e), sorted(
+            oracle.simp(e)
+        )
+
+
+@pytest.mark.parametrize("name", ["nak2", "b3"])
+def test_closure_flags_match_the_literal_scans_on_random_sets(name):
+    oracle = get_oracle(name)
+    rng = random.Random(f"flags-{name}")
+    for _ in range(12):
+        size = rng.randrange(len(oracle.members) + 1)
+        e = {ZERO} | set(rng.sample(oracle.members, size))
+        assert oracle.closure_flags(e) == literal_closure_flags(oracle, e)
+
+
+def test_wide_and_torsion_free_verdicts_on_known_sets():
+    oracle = get_oracle("a3_linear")
+    # 1 and 3/2 are Hom-orthogonal: their filtration closure is wide, but
+    # the subobject 2 of 3/2 is missing, so it is no torsion-free class
+    wide = oracle.closure_flags(oracle.filt([("1",), ("3/2",)]))
+    assert wide.wide and not wide.torsion_free
+    # 2 embeds into 3/2, which makes the closure torsion-free but not wide
+    tf = oracle.closure_flags(oracle.filt([("2",), ("3/2",)]))
+    assert tf.torsion_free and not tf.wide
+    whole = oracle.closure_flags(oracle.members)
+    assert whole.wide and whole.torsion_free
+
+
 def test_closure_flags_of_the_four_generator_set():
     oracle = get_oracle("a3_linear")
     e1 = oracle.filt([("1",), ("2",), ("2/1",), ("3/2/1",)])
@@ -489,6 +567,24 @@ def test_filt_is_idempotent(data):
     oracle, gens = data
     once = oracle.filt(gens)
     assert oracle.filt(once) == once
+
+
+@st.composite
+def subcategory_sets(draw):
+    """Random sets of nak2 members with zero; some are closed by filt first."""
+    oracle = get_oracle("nak2")
+    picked = draw(st.lists(st.sampled_from(oracle.members), max_size=12))
+    e = frozenset(picked) | {ZERO}
+    if draw(st.booleans()):
+        e = oracle.filt(e)
+    return oracle, e
+
+
+@given(subcategory_sets())
+@settings(max_examples=60, deadline=None)
+def test_extension_flag_is_filt_fixedness(data):
+    oracle, e = data
+    assert oracle.closure_flags(e).extensions == (oracle.filt(e) == e)
 
 
 @given(brick_subsets())
