@@ -1,10 +1,16 @@
-"""Submodule order on the arcs of a diagram, maxima, and cofinal closure."""
+"""Submodule order on the arcs of a diagram, maxima, and cofinal closure.
+
+Arc modules are uniserial: by :func:`monobrick.arcs.hom_kind`, ``a`` embeds in
+``b`` exactly when both share a start and ``a`` is not longer.  So the order
+on a diagram is one chain per start, and the diagram queries read it off those.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import groupby
+from typing import Callable, Sequence, TypeVar
 
-from monobrick.arcs import Algebra, Arc, HomKind, arc_length, hom_kind, submodule_arcs
+from monobrick.arcs import Algebra, Arc, HomKind, arc_length, hom_kind, reduce_mark
 from monobrick.diagrams import Diagram
 
 T = TypeVar("T")
@@ -42,19 +48,19 @@ def covering_pairs(
     return pairs
 
 
-def _leq_in(diagram: Diagram) -> Callable[[Arc, Arc], bool]:
-    algebra = diagram.algebra
-    return lambda a, b: submodule_leq(a, b, algebra)
+def _chains(diagram: Diagram) -> list[list[Arc]]:
+    """The arcs grouped by start, each chain in (start, length) order."""
+    return [list(c) for _, c in groupby(diagram.sorted_arcs(), lambda a: a.start)]
 
 
 def mmax(diagram: Diagram) -> Diagram:
-    """Sub-diagram of maximal arcs in the submodule order."""
-    arcs = maximal_elements(diagram.sorted_arcs(), _leq_in(diagram))
-    return Diagram(diagram.algebra, frozenset(arcs))
+    """Sub-diagram of maximal arcs in the submodule order: the longest per start."""
+    return Diagram(diagram.algebra, frozenset(c[-1] for c in _chains(diagram)))
 
 
 def hasse_covers(diagram: Diagram) -> list[tuple[Arc, Arc]]:
-    return covering_pairs(diagram.sorted_arcs(), _leq_in(diagram))
+    """Consecutive pairs of each chain, in (start, length) order."""
+    return [pair for chain in _chains(diagram) for pair in zip(chain, chain[1:])]
 
 
 def cofinal_closure(diagram: Diagram) -> Diagram:
@@ -64,22 +70,27 @@ def cofinal_closure(diagram: Diagram) -> Diagram:
     mono-crossing or plain non-crossing pair is disturbed.  One pass suffices:
     submodule arcs of a candidate are submodule arcs of the original member,
     and the admission test does not depend on other candidates.
+
+    Closed form of ``hom_kind``: the prefix of length ``k`` at start ``s`` is
+    blocked exactly when a member ``m`` at offset ``d = (m.start - s) mod n``
+    has ``0 < d < k <= d + len(m)``.
     """
-    algebra = diagram.algebra
-    members = set(diagram.arcs)
-    candidates: set[Arc] = set()
-    for member in diagram.arcs:
-        candidates.update(submodule_arcs(member, algebra))
-    admitted = {
-        cand
-        for cand in candidates - members
-        if all(
-            hom_kind(cand, member, algebra)
-            in (HomKind.ZERO, HomKind.INJECTION, HomKind.ISO)
-            for member in members
-        )
-    }
-    return Diagram(algebra, frozenset(members | admitted))
+    n = diagram.algebra.marks
+    spans = [(m.start, arc_length(m, n)) for m in diagram.arcs]
+    arcs = set(diagram.arcs)
+    for chain in _chains(diagram):
+        start, longest = chain[0].start, arc_length(chain[-1], n)
+        reach = [0] * longest  # reach[d]: largest d + len(m) at offset d
+        for m_start, length in spans:
+            d = (m_start - start) % n
+            if 0 < d < longest:
+                reach[d] = max(reach[d], d + length)
+        far = 0
+        for k in range(1, longest):
+            far = max(far, reach[k - 1])
+            if far < k:
+                arcs.add(Arc(start, reduce_mark(start + k, n)))
+    return Diagram(diagram.algebra, frozenset(arcs))
 
 
 def is_cofinally_closed(diagram: Diagram) -> bool:

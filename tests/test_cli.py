@@ -18,7 +18,7 @@ import monobrick
 from monobrick import cli
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
-from monobrick.verify import CheckResult
+from monobrick.verify import EXPECTED_COUNTS, CheckResult
 
 
 @pytest.fixture
@@ -457,6 +457,19 @@ def test_oracle_verify_reports_failures(runner, monkeypatch):
     lines = result.output.splitlines()
     assert "FAIL census: wrong count" in lines
     assert "1 of 2 checks passed" in lines
+
+
+def test_cli_import_leaves_the_oracle_stack_unloaded():
+    proc = run_module("-c", "import sys, monobrick.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "monobrick.cli" in loaded
+    assert "monobrick.verify" not in loaded
+    assert "monobrick.oracle" not in loaded
+
+
+def test_preset_choices_are_the_verified_presets():
+    assert list(cli._PRESET_CHOICE.choices) == sorted(EXPECTED_COUNTS)
 
 
 def test_in_file_is_closed_after_reading(tmp_path):

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monobrick.arcs import Algebra, Arc
-from monobrick.diagrams import Diagram, DiagramKind, enumerate_diagrams, is_semibrick
+from monobrick.arcs import Algebra, Arc, HomKind, arc_length, hom_kind, submodule_arcs
+from monobrick.diagrams import (
+    Diagram,
+    DiagramKind,
+    crossing_violation,
+    enumerate_diagrams,
+    is_semibrick,
+)
 from monobrick.poset import (
     cofinal_closure,
     covering_pairs,
@@ -124,3 +131,95 @@ def test_closed_diagrams_count_matches_semibricks():
         assert len(closed) == len(semis)
         # Closure restricted to semibricks hits every closed diagram once.
         assert {cofinal_closure(s).arcs for s in semis} == {d.arcs for d in closed}
+
+
+# -- closed forms against the pairwise routes ----------------------------
+
+
+def literal_cofinal_closure(diagram):
+    """Reference: admit each submodule arc of a member whose hom to every
+    member is zero or injective, deciding each pair through ``hom_kind``."""
+    algebra = diagram.algebra
+    members = set(diagram.arcs)
+    candidates = set()
+    for member in diagram.arcs:
+        candidates.update(submodule_arcs(member, algebra))
+    admitted = {
+        cand
+        for cand in candidates - members
+        if all(
+            hom_kind(cand, member, algebra)
+            in (HomKind.ZERO, HomKind.INJECTION, HomKind.ISO)
+            for member in members
+        )
+    }
+    return Diagram(algebra, frozenset(members | admitted))
+
+
+def assert_closed_forms_match_literal_routes(diagram):
+    algebra = diagram.algebra
+    leq = lambda a, b: submodule_leq(a, b, algebra)
+    arcs = diagram.sorted_arcs()
+    assert mmax(diagram) == Diagram(algebra, frozenset(maximal_elements(arcs, leq)))
+    assert hasse_covers(diagram) == covering_pairs(arcs, leq)
+    assert cofinal_closure(diagram) == literal_cofinal_closure(diagram)
+
+
+SMALL_ALGEBRAS = [Algebra.linear_a(r) for r in range(7)] + [
+    Algebra.cyclic_b(r) for r in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("algebra", SMALL_ALGEBRAS, ids=str)
+def test_closed_forms_match_literal_routes_exhaustive(algebra):
+    for diagram in all_monobricks(algebra):
+        assert_closed_forms_match_literal_routes(diagram)
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_submodule_order_is_same_start_and_not_longer(kind):
+    for rank in range(1, 13):
+        algebra = Algebra(kind, rank)
+        n = algebra.marks
+        arcs = algebra.arcs()
+        for a in arcs:
+            for b in arcs:
+                closed_form = (
+                    a.start == b.start and arc_length(a, n) <= arc_length(b, n)
+                )
+                assert submodule_leq(a, b, algebra) == closed_form, (algebra, a, b)
+
+
+@st.composite
+def random_monobricks(draw, max_rank):
+    """Random arcs, each kept when the diagram stays a monobrick."""
+    kind = draw(st.sampled_from(["A", "B"]))
+    algebra = Algebra(kind, draw(st.integers(min_value=1, max_value=max_rank)))
+    n = algebra.marks
+    diagram = Diagram(algebra, frozenset())
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if kind == "A":
+            start = draw(st.integers(min_value=1, max_value=n - 1))
+            end = draw(st.integers(min_value=start + 1, max_value=n))
+        else:
+            start = draw(st.integers(min_value=1, max_value=n))
+            end = draw(st.integers(min_value=1, max_value=n))
+        grown = Diagram(algebra, diagram.arcs | {Arc(start, end)})
+        if crossing_violation(grown, DiagramKind.MONOBRICK) is None:
+            diagram = grown
+    return diagram
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_monobricks(max_rank=150))
+def test_closure_is_idempotent_and_keeps_mmax(diagram):
+    closed = cofinal_closure(diagram)
+    assert diagram.arcs <= closed.arcs
+    assert cofinal_closure(closed) == closed
+    assert mmax(closed) == mmax(diagram)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_monobricks(max_rank=30))
+def test_closed_forms_match_literal_routes_random(diagram):
+    assert_closed_forms_match_literal_routes(diagram)
