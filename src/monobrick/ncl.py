@@ -198,5 +198,10 @@ def partition_from_json(data: dict) -> NclPartition:
     blocks = []
     for k, block in enumerate(json_list(json_field(data, "blocks"), "blocks")):
         field = f"blocks[{k}]"
-        blocks.append(frozenset(json_int(x, field) for x in json_list(block, field)))
+        marks = [json_int(x, field) for x in json_list(block, field)]
+        if len(set(marks)) != len(marks):
+            raise ValueError(f'field "{field}" repeats a mark')
+        blocks.append(frozenset(marks))
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("partition lists a duplicate block")
     return NclPartition(n, frozenset(blocks))

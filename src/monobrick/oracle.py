@@ -12,8 +12,17 @@ actual hom elements.  Category-level operations (``filt``, ``simp``,
 closure flags, the W and F maps) instead factor every morphism through its
 image, so they only consult the subquotient tables; the element route would
 be hopeless at dimension 36.  Tests compare both styles where both are
-affordable.  ``filt``, ``simp`` and the extension flag share one split
-predicate, ``_splits_in``.
+affordable.
+
+Inside the subcategory layer a set of members is an ``int`` mask over
+``Oracle.index``; public inputs and outputs stay frozensets.  Each member's
+subquotient table is turned, on first use, into masks: one per proper
+nonzero (subobject, quotient) pair, the union of its subobjects, and the
+union of its quotients.  ``filt``, ``simp`` and the extension flag then share
+one split predicate, ``_splits_in``: some pair mask lies inside the set.  The
+other closure flags are ANDs and ORs of the unions.  ``filt`` (generator
+mask to closure) and ``closure_flags`` (set mask to flags) are memoised per
+oracle, after the set has been checked.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -35,6 +44,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from monobrick import fp
 from monobrick.arcs import Arc, HomKind, socle_series
@@ -52,6 +62,15 @@ _ELEMENT_BUDGET = 70_000
 
 # Arrow-table entry for a pair of subspaces the arrow does not map inside.
 _UNSTABLE = -1
+
+
+class _MemberMasks(NamedTuple):
+    """One member's subquotient table as masks over ``Oracle.index``."""
+
+    splits: tuple[int, ...]  # distinct a | q of the proper pairs
+    subs: int  # every subobject, 0 and the member included
+    quots: int  # every quotient, 0 and the member included
+    pairs: tuple[tuple[int, int], ...]  # (a, q) with a and q nonzero
 
 
 class OracleError(RuntimeError):
@@ -146,6 +165,10 @@ class Oracle:
         )
         self.members = self._build_universe()
         self.index = {m: i for i, m in enumerate(self.members)}
+        self._bit = {m: 1 << i for i, m in enumerate(self.members)}
+        self._masks: list[_MemberMasks | None] = [None] * len(self.members)
+        self._filt_memo: dict[int, frozenset[Member]] = {}
+        self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = {m: self.dim_of(m) for m in self.members}
         self._by_dims: dict[tuple[int, ...], list[Member]] = {}
         for m in self.members:
@@ -634,12 +657,49 @@ class Oracle:
             raise OracleError(f"members outside the universe: {sorted(stray)}")
         return e
 
-    def _splits_in(self, x: Member, e) -> bool:
-        """Does some proper nonzero subobject of x lie in e with its quotient?"""
-        for a, q in self.subquotients(x):
-            if a != ZERO and q != ZERO and a in e and q in e:
+    def _mask_of(self, e: frozenset[Member]) -> int:
+        # distinct powers of two, so the sum is their union
+        return sum(map(self._bit.__getitem__, e))
+
+    def _members_of(self, mask: int) -> frozenset[Member]:
+        # bin() lists bits high to low; reversed, character i is bit i
+        return frozenset(
+            itertools.compress(self.members, map("1".__eq__, bin(mask)[:1:-1]))
+        )
+
+    def _member_masks(self, i: int) -> _MemberMasks:
+        """Member ``i``'s subquotient table as masks, built on first use."""
+        masks = self._masks[i]
+        if masks is None:
+            bit = self._bit
+            subs = quots = 0
+            pairs = []
+            for a, q in self.subquotients(self.members[i]):
+                subs |= bit[a]
+                quots |= bit[q]
+                if a != ZERO and q != ZERO:
+                    pairs.append((bit[a], bit[q]))
+            splits = tuple(sorted({a | q for a, q in pairs}))
+            masks = _MemberMasks(splits, subs, quots, tuple(pairs))
+            self._masks[i] = masks
+        return masks
+
+    def _splits_in(self, i: int, e: int) -> bool:
+        """Does some proper nonzero subobject of member ``i`` lie in the
+        mask ``e`` with its quotient?"""
+        for pm in self._member_masks(i).splits:
+            if pm & e == pm:
                 return True
         return False
+
+    def _unions(self, inside: list[int]) -> tuple[int, int]:
+        """Masks of all subobjects and of all quotients of the given members."""
+        subs = quots = 0
+        for i in inside:
+            masks = self._member_masks(i)
+            subs |= masks.subs
+            quots |= masks.quots
+        return subs, quots
 
     def filt(self, gens) -> frozenset[Member]:
         """Close a generating set under extensions, one dimension at a time.
@@ -649,57 +709,57 @@ class Oracle:
         dimension makes a single pass sufficient, because both halves of any
         witnessing pair are strictly smaller.
         """
-        result = set(self._require_subcat(set(gens) | {ZERO}))
-        for x in self.members:
-            if x not in result and self._splits_in(x, result):
-                result.add(x)
-        return frozenset(result)
+        gens = self._require_subcat(set(gens) | {ZERO})
+        return self._filt_of(self._mask_of(gens))
+
+    def _filt_of(self, key: int) -> frozenset[Member]:
+        """``filt`` of the set with mask ``key``, memoised.  The result is
+        closed, so it is memoised as its own closure too."""
+        hit = self._filt_memo.get(key)
+        if hit is None:
+            result = key
+            for i in range(len(self.members)):
+                if not result >> i & 1 and self._splits_in(i, result):
+                    result |= 1 << i
+            hit = self._filt_memo.get(result)
+            if hit is None:
+                hit = self._filt_memo[result] = self._members_of(result)
+            self._filt_memo[key] = hit
+        return hit
+
+    def _simple_indices(self, inside: list[int], mask: int) -> list[int]:
+        """The members among ``inside`` with no split in ``mask``, except
+        the zero module (index 0)."""
+        return [i for i in inside if i and not self._splits_in(i, mask)]
 
     def simp(self, e) -> frozenset[Member]:
         """Members with no proper nonzero subobject-quotient split inside e."""
         e = self._require_subcat(e)
-        return frozenset(m for m in e - {ZERO} if not self._splits_in(m, e))
-
-    def _union_subobjects(self, e) -> frozenset[Member]:
-        out: set[Member] = set()
-        for x in e:
-            out |= self.subobjects(x)
-        return frozenset(out)
-
-    def _union_quotients(self, e) -> frozenset[Member]:
-        out: set[Member] = set()
-        for x in e:
-            out |= self.quotient_objects(x)
-        return frozenset(out)
+        inside = [self.index[x] for x in e]
+        simple = self._simple_indices(inside, self._mask_of(e))
+        return frozenset(self.members[i] for i in simple)
 
     def closure_flags(self, e) -> ClosureFlags:
         e = self._require_subcat(e)
-        union_subs = self._union_subobjects(e)
-        union_quots = self._union_quotients(e)
+        mask = self._mask_of(e)
+        flags = self._flags_memo.get(mask)
+        if flags is None:
+            flags = self._flags_memo[mask] = self._closure_flags(e, mask)
+        return flags
+
+    def _closure_flags(self, e: frozenset[Member], mask: int) -> ClosureFlags:
+        inside = [self.index[x] for x in e]
+        subs, quots = self._unions(inside)
+        # Trivial pairs (0, x) and (x, 0) pass every test below, so only the
+        # proper pairs of each member are scanned.
+        pairs = [self._member_masks(i).pairs for i in inside]
+        kernels = all(a & mask for ps in pairs for a, q in ps if q & subs)
+        cokernels = all(q & mask for ps in pairs for a, q in ps if a & quots)
 
         # Removing one summand at a time reaches every sub-multiset, and
         # members are sorted tuples, so a removal is again a member's key.
         summands = all(
             x[:i] + x[i + 1 :] in e for x in e for i in range(len(x))
-        )
-        kernels = all(
-            a in e
-            for x in e
-            for a, q in self.subquotients(x)
-            if q in union_subs
-        )
-        images = all(
-            (self.quotient_objects(x) & union_subs) <= e for x in e
-        )
-        cokernels = all(
-            c in e
-            for y in e
-            for b, c in self.subquotients(y)
-            if b in union_quots
-        )
-
-        extensions = not any(
-            self._splits_in(x, e) for x in self.members if x not in e
         )
         by_dim = Counter(self._total_dim[x] for x in e)
         skipped = sum(
@@ -709,12 +769,15 @@ class Oracle:
             if d + d2 > self.dim_bound
         )
         return ClosureFlags(
-            extensions=extensions,
-            subobjects=union_subs <= e,
-            quotients=union_quots <= e,
+            # e is extension-closed iff it is its own filtration closure,
+            # which contains it
+            extensions=len(self._filt_of(mask)) == len(e),
+            subobjects=not subs & ~mask,
+            quotients=not quots & ~mask,
             summands=summands,
             kernels=kernels,
-            images=images,
+            # a quotient of one member that is a subobject of another
+            images=not subs & quots & ~mask,
             cokernels=cokernels,
             skipped_extension_pairs=skipped,
         )
@@ -723,9 +786,10 @@ class Oracle:
         """No member simple in e admits a proper nonzero quotient embedding
         into a member."""
         e = self._require_subcat(e)
-        union_subs = self._union_subobjects(e)
-        for m in self.simp(e):
-            if (self.quotient_objects(m) & union_subs) - {ZERO, m}:
+        inside = [self.index[x] for x in e]
+        subs, _ = self._unions(inside)
+        for i in self._simple_indices(inside, self._mask_of(e)):
+            if self._member_masks(i).quots & subs & ~(self._bit[ZERO] | 1 << i):
                 return False
         return True
 
@@ -747,13 +811,17 @@ class Oracle:
     def w_map(self, e) -> frozenset[Member]:
         """Members whose every cokernel into the set stays in the set."""
         e = self._require_subcat(e)
-        bad_images: set[Member] = set()
-        for x in e:
-            for b, c in self.subquotients(x):
-                if c not in e:
-                    bad_images.add(b)
+        mask = self._mask_of(e)
+        inside = [self.index[x] for x in e]
+        bad_images = 0
+        for i in inside:
+            for a, q in self._member_masks(i).pairs:
+                if not q & mask:
+                    bad_images |= a
         return frozenset(
-            w for w in e if not (self.quotient_objects(w) & bad_images)
+            self.members[i]
+            for i in inside
+            if not self._member_masks(i).quots & bad_images
         )
 
     def f_map(self, bricks) -> frozenset[Member]:

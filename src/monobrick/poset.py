@@ -95,16 +95,3 @@ def cofinal_closure(diagram: Diagram) -> Diagram:
 
 def is_cofinally_closed(diagram: Diagram) -> bool:
     return cofinal_closure(diagram).arcs == diagram.arcs
-
-
-def is_cofinal_extension(small: Diagram, large: Diagram) -> bool:
-    """``large`` contains ``small`` and every arc of ``large`` sits under some arc of ``small``."""
-    if small.algebra != large.algebra:
-        raise ValueError("diagrams live over different algebras")
-    if not small.arcs <= large.arcs:
-        return False
-    algebra = small.algebra
-    return all(
-        any(submodule_leq(x, m, algebra) for m in small.arcs)
-        for x in large.arcs
-    )

@@ -401,6 +401,20 @@ def test_ncl_partition_input_refuses_coercion(runner, payload, field):
     assert field in result.stderr
 
 
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        ('{"n":1,"blocks":[[1],[1]]}', "partition lists a duplicate block"),
+        ('{"n":3,"blocks":[[1,1,2],[3]]}', '"blocks[0]"'),
+        ('{"n":3,"blocks":[[1,2],[3,3]]}', '"blocks[1]"'),
+    ],
+)
+def test_ncl_partition_input_refuses_repeats(runner, payload, message):
+    result = runner.invoke(cli.main, ["ncl"], input=payload)
+    assert result.exit_code == 4, result.output
+    assert message in result.stderr
+
+
 def test_ncl_requires_exactly_one_payload_kind(runner):
     both = '{"n":2,"blocks":[[1],[2]],"algebra":"A","arcs":[]}'
     neither = '{"n":2}'

@@ -3,7 +3,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, strategies as st
 
-from monobrick.arcs import Algebra, Arc, Crossing
+from monobrick.arcs import Algebra, Arc, Crossing, HomKind, crossing_kind, hom_kind
 from monobrick.diagrams import (
     BudgetExceeded,
     Diagram,
@@ -232,3 +232,38 @@ def test_cofinally_closed_routes_agree(algebra):
     ]
     assert produced == mask_filter == diagram_filter
     assert len(produced) == count_closed_form(algebra, DiagramKind.COFINALLY_CLOSED)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_arc_table_masks_match_literal_kinds(family):
+    # Pins every adjacency, prefix and bad mask to the literal crossing_kind
+    # and hom_kind, so a faster route to the table has to reproduce them.
+    ranks = range(13) if family == "A" else range(1, 13)
+    for rank in ranks:
+        algebra = Algebra(family, rank)
+        table = arc_table(algebra)
+        arcs = table.arcs
+        mono = [0] * len(arcs)
+        semi = [0] * len(arcs)
+        prefixes = [0] * len(arcs)
+        bad = [0] * len(arcs)
+        for i, a in enumerate(arcs):
+            for j, b in enumerate(arcs):
+                kind = hom_kind(a, b, algebra)
+                if kind in (HomKind.INJECTION, HomKind.ISO):
+                    prefixes[j] |= 1 << i
+                if kind is HomKind.NONZERO_NON_INJECTION:
+                    bad[i] |= 1 << j
+                if j <= i:
+                    continue
+                crossing = crossing_kind(a, b, algebra.marks)
+                if crossing in (Crossing.MONO_CROSSING, Crossing.NON_CROSSING):
+                    mono[i] |= 1 << j
+                    mono[j] |= 1 << i
+                if crossing is Crossing.NON_CROSSING:
+                    semi[i] |= 1 << j
+                    semi[j] |= 1 << i
+        assert table.adjacency[DiagramKind.MONOBRICK] == tuple(mono), algebra
+        assert table.adjacency[DiagramKind.SEMIBRICK] == tuple(semi), algebra
+        assert table.prefixes == tuple(prefixes), algebra
+        assert table.bad == tuple(bad), algebra

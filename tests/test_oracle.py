@@ -417,6 +417,92 @@ def test_closure_flags_match_the_literal_scans_on_random_sets(name):
         assert oracle.closure_flags(e) == literal_closure_flags(oracle, e)
 
 
+def literal_splits_in(oracle, x, e) -> bool:
+    return any(
+        a != ZERO and q != ZERO and a in e and q in e
+        for a, q in oracle.subquotients(x)
+    )
+
+
+def literal_filt(oracle, gens) -> frozenset:
+    """The single pass over frozensets of (sub, quot) members, as a second
+    route to the mask layer's ``filt``."""
+    result = set(gens) | {ZERO}
+    for x in oracle.members:
+        if x not in result and literal_splits_in(oracle, x, result):
+            result.add(x)
+    return frozenset(result)
+
+
+def literal_simp(oracle, e) -> frozenset:
+    return frozenset(m for m in e - {ZERO} if not literal_splits_in(oracle, m, e))
+
+
+def literal_is_left_schur(oracle, e) -> bool:
+    union_subs = set().union(*(oracle.subobjects(x) for x in e))
+    return not any(
+        (oracle.quotient_objects(m) & union_subs) - {ZERO, m}
+        for m in literal_simp(oracle, e)
+    )
+
+
+def literal_w_map(oracle, e) -> frozenset:
+    bad_images = {b for x in e for b, c in oracle.subquotients(x) if c not in e}
+    return frozenset(w for w in e if not oracle.quotient_objects(w) & bad_images)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_subcategory_layer_matches_the_frozenset_route(name):
+    oracle = get_oracle(name, p=2)
+    bricks = oracle.brick_members()
+    for bits in range(1 << len(bricks)):
+        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
+        e = oracle.filt(gens)
+        assert e == literal_filt(oracle, gens), sorted(gens)
+        for s in (gens | {ZERO}, e):
+            assert oracle.simp(s) == literal_simp(oracle, s), sorted(s)
+            assert oracle.is_left_schur(s) == literal_is_left_schur(oracle, s)
+            assert oracle.w_map(s) == literal_w_map(oracle, s), sorted(s)
+
+
+def test_memoised_results_ignore_how_a_set_is_passed():
+    oracle = get_oracle("a3_linear")
+    gens = [("3/2",), ("1",), ZERO]
+    e = oracle.filt(gens)
+    ordered = sorted(e, key=oracle.index.__getitem__)
+    forms = [
+        lambda xs: list(xs),
+        lambda xs: list(reversed(xs)),
+        set,
+        frozenset,
+        lambda xs: iter(xs[::-1]),
+    ]
+    for form in forms:
+        assert oracle.filt(form(gens)) == e
+        assert oracle.filt(form(gens[:2])) == e
+        assert oracle.filt(form(ordered)) == e
+        assert oracle.simp(form(ordered)) == literal_simp(oracle, e)
+        assert oracle.closure_flags(form(ordered)) == literal_closure_flags(oracle, e)
+        assert oracle.is_left_schur(form(ordered)) == literal_is_left_schur(oracle, e)
+        assert oracle.w_map(form(ordered)) == literal_w_map(oracle, e)
+
+
+def test_memos_do_not_skip_validation():
+    oracle = get_oracle("nak2")
+    e = oracle.filt([("1",)])
+    flags = oracle.closure_flags(e)
+    stray = ("2/1",) * 9
+    for method in (oracle.closure_flags, oracle.simp, oracle.is_left_schur, oracle.w_map):
+        with pytest.raises(OracleError, match="zero"):
+            method(e - {ZERO})
+        with pytest.raises(OracleError, match="outside"):
+            method(e | {stray})
+    with pytest.raises(OracleError, match="outside"):
+        oracle.filt(e | {stray})
+    assert oracle.closure_flags(e) == flags
+    assert oracle.filt(e) == e
+
+
 def test_wide_and_torsion_free_verdicts_on_known_sets():
     oracle = get_oracle("a3_linear")
     # 1 and 3/2 are Hom-orthogonal: their filtration closure is wide, but

@@ -13,7 +13,6 @@ from monobrick.poset import (
     cofinal_closure,
     covering_pairs,
     hasse_covers,
-    is_cofinal_extension,
     is_cofinally_closed,
     maximal_elements,
     mmax,
@@ -31,6 +30,19 @@ def D(algebra, *arcs):
 
 def all_monobricks(algebra):
     return list(enumerate_diagrams(algebra, DiagramKind.MONOBRICK))
+
+
+def is_cofinal_extension(small: Diagram, large: Diagram) -> bool:
+    """``large`` contains ``small`` and every arc of ``large`` sits under some arc of ``small``."""
+    if small.algebra != large.algebra:
+        raise ValueError("diagrams live over different algebras")
+    if not small.arcs <= large.arcs:
+        return False
+    algebra = small.algebra
+    return all(
+        any(submodule_leq(x, m, algebra) for m in small.arcs)
+        for x in large.arcs
+    )
 
 
 def test_closure_examples():
