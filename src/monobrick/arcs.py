@@ -12,8 +12,9 @@ Two families:
   are valid ("admissible"), one arc per interval module of the linear quiver.
 * ``Algebra.cyclic_b(n)``: marks ``1..n``, every arc is valid, ``n**2`` total.
 
-Hom behaviour between two arc modules reduces to membership tests on the two
-socle series; see :func:`hom_kind`.
+Crossing and hom behaviour between two arc modules are closed forms in the
+offset of one start along the other arc and the two lengths; see
+:func:`crossing_kind` and :func:`hom_kind`; neither builds a socle series.
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ class HomKind(enum.Enum):
     ISO = "Iso"
 
 
-def _is_window(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
-    # Contiguity is linear, not cyclic: (3, 1, 2) is NOT a window of (2, 3, 1).
-    k = len(needle)
-    return any(hay[i : i + k] == needle for i in range(len(hay) - k + 1))
-
-
 def crossing_kind(a: Arc, b: Arc, n: int) -> Crossing:
     """Classify a pair of distinct arcs on ``n`` marks.
 
@@ -135,17 +130,21 @@ def crossing_kind(a: Arc, b: Arc, n: int) -> Crossing:
     non-crossing pairs split into mono-crossing (shared start), epi-crossing
     (shared end) and plain non-crossing; everything else strictly crosses.
     Exactly one kind applies to each distinct pair.
+
+    In offsets: with ``d = (b.start - a.start) mod n``, ``e = (a.start -
+    b.start) mod n`` and lengths ``la``, ``lb``, the series of ``b`` is a
+    window of that of ``a`` when ``d + lb <= la`` (and vice versa when
+    ``e + la <= lb``), and the series are disjoint when ``d >= la`` and
+    ``e >= lb``: two runs of consecutive marks on the circle meet exactly
+    when one contains the start of the other.
     """
     if a == b:
         raise ValueError("crossing kind is defined for distinct arcs")
-    sa = socle_series(a, n)
-    sb = socle_series(b, n)
-    weakly = (
-        _is_window(sa, sb)
-        or _is_window(sb, sa)
-        or not (set(sa) & set(sb))
-    )
-    if not weakly:
+    la = arc_length(a, n)
+    lb = arc_length(b, n)
+    d = (b.start - a.start) % n
+    e = (a.start - b.start) % n
+    if not (d + lb <= la or e + la <= lb or (d >= la and e >= lb)):
         return Crossing.STRICTLY_CROSSING
     if a.start == b.start:
         return Crossing.MONO_CROSSING
@@ -160,17 +159,20 @@ def hom_kind(a: Arc, b: Arc, algebra: Algebra) -> HomKind:
     Arc modules are uniserial, so quotients of ``a`` are its socle-series
     suffixes and submodules of ``b`` are its prefixes.  A nonzero map exists
     exactly when the suffix of ``a`` starting at ``b.start`` matches a prefix
-    of ``b``; that needs ``b.start`` on the series of ``a`` and the last mark
-    of ``a`` on the series of ``b``.  The hom space is at most 1-dimensional,
-    and the map is injective precisely when nothing of ``a`` is quotiented
-    away, i.e. the starts agree.
+    of ``b``; that needs ``b.start`` on the series of ``a`` (offset
+    ``(b.start - a.start) mod n`` below the length of ``a``) and the last mark
+    of ``a``, ``a.end - 1``, on the series of ``b``.  The hom space is at most
+    1-dimensional, and the map is injective precisely when nothing of ``a`` is
+    quotiented away, i.e. the starts agree.
     """
     algebra.check_arc(a)
     algebra.check_arc(b)
     if a == b:
         return HomKind.ISO
     n = algebra.marks
-    if b.start in socle_series(a, n) and reduce_mark(a.end - 1, n) in socle_series(b, n):
+    if (b.start - a.start) % n < arc_length(a, n) and (
+        a.end - 1 - b.start
+    ) % n < arc_length(b, n):
         if b.start == a.start:
             return HomKind.INJECTION
         return HomKind.NONZERO_NON_INJECTION

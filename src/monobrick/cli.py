@@ -5,6 +5,11 @@ recurrence cross-checks, cofinal closure and maximal-element queries on
 diagrams, conversion between arc diagrams and non-crossing linked
 partitions, the bundled module-category audits, and ASCII rendering.
 
+Each command imports only the layers it runs: ``poset`` is imported by
+``closure`` and ``mmax``, and the matrix oracle (``fp``, ``presets``,
+``oracle``, ``verify``) by ``oracle verify`` alone.  Every run starts a
+fresh interpreter, so a module never loaded is time saved on every call.
+
 Exit codes are a stable contract: 0 success, 1 a verification suite
 reported failures, 2 command-line misuse, 3 enumeration budget exceeded,
 4 mathematically invalid input data.
@@ -18,7 +23,7 @@ from itertools import islice
 
 import click
 
-from monobrick import __version__
+from monobrick import FIELD_SIZES, PRESET_NAMES, __version__
 from monobrick.arcs import Algebra
 from monobrick.diagrams import (
     BudgetExceeded,
@@ -41,8 +46,6 @@ from monobrick.ncl import (
     partition_to_json,
     to_diagram,
 )
-from monobrick.poset import cofinal_closure, hasse_covers, mmax
-from monobrick.presets import FIELD_SIZES, PRESET_NAMES
 from monobrick.render import render_diagram
 
 
@@ -123,6 +126,8 @@ def _read_json(in_path):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"input is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise DataError(f"input JSON cannot be read: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError("input must be a JSON object")
     return payload
@@ -267,6 +272,8 @@ def count_command(family, n_max, n_min, kind, budget, fmt, out_path):
 
 
 def _hasse_payload(diagram: Diagram) -> list:
+    from monobrick.poset import hasse_covers
+
     pairs = sorted(
         hasse_covers(diagram),
         key=lambda pair: (tuple(pair[0]), tuple(pair[1])),
@@ -293,6 +300,8 @@ def _poset_query(in_path, with_hasse, out_path, operation) -> None:
 @_OUT_OPTION
 def closure_command(in_path, hasse, out_path):
     """Cofinal closure of a monobrick diagram, same JSON schema."""
+    from monobrick.poset import cofinal_closure
+
     _poset_query(in_path, hasse, out_path, cofinal_closure)
 
 
@@ -304,6 +313,8 @@ def closure_command(in_path, hasse, out_path):
 @_OUT_OPTION
 def mmax_command(in_path, hasse, out_path):
     """Maximal arcs of a monobrick diagram in the submodule order."""
+    from monobrick.poset import mmax
+
     _poset_query(in_path, hasse, out_path, mmax)
 
 

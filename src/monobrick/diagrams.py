@@ -90,14 +90,30 @@ class Diagram:
 def crossing_violation(
     diagram: Diagram, kind: DiagramKind
 ) -> tuple[Arc, Arc, Crossing] | None:
-    """First arc pair whose crossing kind the diagram kind forbids, or None."""
-    allowed = _ALLOWED_CROSSINGS[kind]
-    arcs = diagram.sorted_arcs()
-    for i, a in enumerate(arcs):
-        for b in arcs[i + 1 :]:
-            found = crossing_kind(a, b, diagram.algebra.marks)
-            if found not in allowed:
-                return a, b, found
+    """First arc pair, in ``sorted_arcs`` order, whose crossing kind the
+    diagram kind forbids, or None.
+
+    Every kind allows plain non-crossing pairs and forbids strictly and
+    epi-crossing ones, so only the reported pair reaches
+    :func:`crossing_kind`.  In sorted order the first start ``s`` is at most
+    the second ``t``.  With unreduced ends ``s + la`` and ``t + lb``, a pair
+    with ``s < t`` is plain non-crossing exactly when the second arc ends
+    before the first does, wraps around past the first's end, or fits in the
+    gap between the first's end and ``s + n``: the closed form of
+    :func:`crossing_kind` at offset ``d = t - s > 0``.
+    """
+    mono_ok = Crossing.MONO_CROSSING in _ALLOWED_CROSSINGS[kind]
+    n = diagram.algebra.marks
+    # (start, start + length) is unique per arc and sorts as sorted_arcs does.
+    spans = sorted((a.start, a.start + arc_length(a, n), a) for a in diagram.arcs)
+    for i, (s, end, a) in enumerate(spans):
+        for t, t_end, b in spans[i + 1 :]:
+            if t == s:
+                if mono_ok:
+                    continue
+            elif t_end < end or t_end > end + n or (end <= t and t_end <= s + n):
+                continue
+            return a, b, crossing_kind(a, b, n)
     return None
 
 

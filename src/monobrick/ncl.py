@@ -92,11 +92,17 @@ def violation(partition: NclPartition) -> str | None:
     if covered != ground:
         missing = sorted(ground - covered)
         return f"NCL1: marks {missing} are not covered by any block"
+    # In canonical order a later block f never starts before e does, so once
+    # f starts past the end of e, it and every block after it lie wholly to
+    # the right of e: no interleaving, no shared mark, nothing to check.
     blocks = partition.canonical()
-    for e, f in combinations(blocks, 2):
-        message = _pair_violation(e, f)
-        if message:
-            return message
+    for i, e in enumerate(blocks):
+        for f in blocks[i + 1 :]:
+            if f[0] > e[-1]:
+                break
+            message = _pair_violation(e, f)
+            if message:
+                return message
     return None
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from monobrick import FIELD_SIZES, PRESET_NAMES
 from monobrick.arcs import Algebra
 from monobrick.fp import Matrix, is_zero_matrix, mat_chain, zero_matrix
 
@@ -190,10 +191,6 @@ _BUILDERS = {
     "nak2": _nakayama2,
     "b3": _nakayama3,
 }
-
-PRESET_NAMES = tuple(_BUILDERS)
-
-FIELD_SIZES = (2, 3, 5)
 
 
 def _validate(preset: Preset) -> Preset:

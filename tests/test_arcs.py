@@ -12,6 +12,7 @@ from monobrick.arcs import (
     socle_series,
     submodule_arcs,
 )
+from literal_arcs import literal_crossing_kind, literal_hom_kind
 
 
 def test_socle_series_examples():
@@ -197,3 +198,22 @@ def test_submodule_arcs_match_injections(case):
         if hom_kind(x, a, algebra) in (HomKind.INJECTION, HomKind.ISO)
     }
     assert set(subs) == expected
+
+
+SMALL_ALGEBRAS = [Algebra.linear_a(r) for r in range(13)] + [
+    Algebra.cyclic_b(r) for r in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("algebra", SMALL_ALGEBRAS, ids=str)
+def test_closed_forms_match_socle_series_definitions(algebra):
+    # Every ordered pair of A0-A12 and B1-B12 (78,078 distinct pairs in all).
+    n = algebra.marks
+    arcs = algebra.arcs()
+    for a in arcs:
+        assert hom_kind(a, a, algebra) is literal_hom_kind(a, a, algebra)
+        for b in arcs:
+            if a == b:
+                continue
+            assert crossing_kind(a, b, n) is literal_crossing_kind(a, b, n), (a, b)
+            assert hom_kind(a, b, algebra) is literal_hom_kind(a, b, algebra), (a, b)

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 import monobrick
-from monobrick import cli
+from monobrick import cli, presets
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import EXPECTED_COUNTS, CheckResult
@@ -30,7 +31,7 @@ def invoke(runner, args, **kwargs):
     return runner.invoke(cli.main, args, catch_exceptions=False, **kwargs)
 
 
-def run_module(*args):
+def run_module(*args, stdin=None):
     """Run ``python ARGS`` in a fresh interpreter that imports this package."""
     src = str(Path(monobrick.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -38,6 +39,7 @@ def run_module(*args):
         [sys.executable, *args],
         capture_output=True,
         text=True,
+        input=stdin,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -335,6 +337,62 @@ def test_single_diagram_queries_build_no_arc_table(runner):
     assert arc_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["[" * 100_000, '{"n":' + "1" * 5_000 + "}"],
+    ids=["deep-nesting", "over-long-integer"],
+)
+@pytest.mark.parametrize("command", ["closure", "mmax", "render", "ncl"])
+def test_unreadable_json_exits_4(runner, command, payload):
+    result = runner.invoke(cli.main, [command], input=payload)
+    assert result.exit_code == 4, result.exception
+    assert "input JSON cannot be read" in result.stderr
+
+
+# Integers stay small: the query commands have no rank cap yet, and their
+# work and output grow with the rank.
+_SMALL = st.integers(min_value=-2, max_value=12)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_DIAGRAMS = st.fixed_dictionaries({
+    "n": st.integers(min_value=0, max_value=12),
+    "algebra": st.sampled_from(["A", "B"]),
+    "arcs": st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=5),
+})
+_PARTITIONS = st.fixed_dictionaries({
+    "n": st.integers(min_value=1, max_value=12),
+    "blocks": st.lists(st.lists(_SMALL, min_size=1, max_size=4), max_size=6),
+})
+_PAYLOADS = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": _SMALL | _JSON,
+        "algebra": st.sampled_from(["A", "B", "C"]) | _JSON,
+        "arcs": st.lists(st.lists(_SMALL, max_size=3), max_size=6) | _JSON,
+        "blocks": st.lists(st.lists(_SMALL, max_size=4), max_size=5) | _JSON,
+    },
+)
+
+
+@pytest.mark.parametrize("command", ["closure", "mmax", "render", "ncl"])
+@given(
+    stdin=(_DIAGRAMS | _PARTITIONS | _PAYLOADS | _JSON).map(json.dumps)
+    | st.text(max_size=12)
+)
+def test_query_commands_survive_arbitrary_input(command, stdin):
+    result = CliRunner().invoke(cli.main, [command], input=stdin)
+    assert result.exit_code in (0, 2, 3, 4), (stdin, result.exception)
+    assert "Traceback" not in result.output
+
+
 def test_closure_reads_from_file(runner, tmp_path):
     source = tmp_path / "diagram.json"
     source.write_text(CHAIN, encoding="utf-8")
@@ -482,8 +540,68 @@ def test_cli_import_leaves_the_oracle_stack_unloaded():
     assert "monobrick.oracle" not in loaded
 
 
+_CORE = {
+    "monobrick",
+    "monobrick.arcs",
+    "monobrick.cli",
+    "monobrick.diagrams",
+    "monobrick.ncl",
+    "monobrick.render",
+}
+
+
+@pytest.mark.parametrize(
+    ("args", "layers"),
+    [
+        (["--version"], _CORE),
+        (["enumerate", "--algebra", "A", "--n", "2"], _CORE),
+        (["count", "--algebra", "B", "--n-max", "2"], _CORE),
+        (["closure", "--hasse"], _CORE | {"monobrick.poset"}),
+        (["mmax", "--hasse"], _CORE | {"monobrick.poset"}),
+        (["render"], _CORE),
+        (["ncl"], _CORE),
+    ],
+    ids=["version", "enumerate", "count", "closure", "mmax", "render", "ncl"],
+)
+def test_commands_load_only_their_layers(args, layers):
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'monobrick'), file=sys.stderr))\n"
+        "from monobrick.cli import main\n"
+        "main()\n"
+    )
+    proc = run_module("-c", script, *args, stdin=CHAIN)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) == layers
+
+
+def test_cli_and_verify_load_every_traced_module():
+    # perfbench/traced_cli.py imports monobrick.cli and monobrick.verify, then
+    # looks up each module its TARGETS name in sys.modules; a lazier import
+    # must not leave one of them unloaded.
+    traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('traced_cli', {str(traced)!r})\n"
+        "traced = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(traced)\n"
+        "import monobrick.cli, monobrick.verify\n"
+        "wanted = {'monobrick.' + target[1] for target in traced.TARGETS}\n"
+        "print(*sorted(wanted - set(sys.modules)))\n"
+        "traced.Tracer().install()\n"
+    )
+    proc = run_module("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_preset_choices_are_the_verified_presets():
     assert list(cli._PRESET_CHOICE.choices) == sorted(EXPECTED_COUNTS)
+
+
+def test_preset_names_are_the_preset_builders():
+    assert tuple(presets._BUILDERS) == monobrick.PRESET_NAMES
 
 
 def test_in_file_is_closed_after_reading(tmp_path):

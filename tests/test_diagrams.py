@@ -3,7 +3,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, strategies as st
 
-from monobrick.arcs import Algebra, Arc, Crossing, HomKind, crossing_kind, hom_kind
+from monobrick.arcs import Algebra, Arc, Crossing, HomKind
 from monobrick.diagrams import (
     BudgetExceeded,
     Diagram,
@@ -24,6 +24,7 @@ from monobrick.diagrams import (
     schroder,
 )
 from monobrick.poset import cofinal_closure, is_cofinally_closed
+from literal_arcs import literal_crossing_kind, literal_hom_kind
 
 A3 = Algebra.linear_a(3)
 B2 = Algebra.cyclic_b(2)
@@ -236,8 +237,8 @@ def test_cofinally_closed_routes_agree(algebra):
 
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_arc_table_masks_match_literal_kinds(family):
-    # Pins every adjacency, prefix and bad mask to the literal crossing_kind
-    # and hom_kind, so a faster route to the table has to reproduce them.
+    # Pins every adjacency, prefix and bad mask to the socle-series
+    # definitions, independent of the closed forms the table is built from.
     ranks = range(13) if family == "A" else range(1, 13)
     for rank in ranks:
         algebra = Algebra(family, rank)
@@ -249,14 +250,14 @@ def test_arc_table_masks_match_literal_kinds(family):
         bad = [0] * len(arcs)
         for i, a in enumerate(arcs):
             for j, b in enumerate(arcs):
-                kind = hom_kind(a, b, algebra)
+                kind = literal_hom_kind(a, b, algebra)
                 if kind in (HomKind.INJECTION, HomKind.ISO):
                     prefixes[j] |= 1 << i
                 if kind is HomKind.NONZERO_NON_INJECTION:
                     bad[i] |= 1 << j
                 if j <= i:
                     continue
-                crossing = crossing_kind(a, b, algebra.marks)
+                crossing = literal_crossing_kind(a, b, algebra.marks)
                 if crossing in (Crossing.MONO_CROSSING, Crossing.NON_CROSSING):
                     mono[i] |= 1 << j
                     mono[j] |= 1 << i
@@ -267,3 +268,43 @@ def test_arc_table_masks_match_literal_kinds(family):
         assert table.adjacency[DiagramKind.SEMIBRICK] == tuple(semi), algebra
         assert table.prefixes == tuple(prefixes), algebra
         assert table.bad == tuple(bad), algebra
+
+
+def literal_violation(diagram, kind):
+    """First forbidden pair by the socle-series definition, all pairs scanned."""
+    allowed = {Crossing.NON_CROSSING}
+    if kind is not DiagramKind.SEMIBRICK:
+        allowed.add(Crossing.MONO_CROSSING)
+    arcs = diagram.sorted_arcs()
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            found = literal_crossing_kind(a, b, diagram.algebra.marks)
+            if found not in allowed:
+                return a, b, found
+    return None
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_crossing_violation_matches_literal_scan_on_arc_pairs(family):
+    for rank in range(9) if family == "A" else range(1, 9):
+        algebra = Algebra(family, rank)
+        for a, b in combinations(algebra.arcs(), 2):
+            diagram = Diagram(algebra, frozenset({a, b}))
+            for kind in DiagramKind:
+                expected = literal_violation(diagram, kind)
+                assert crossing_violation(diagram, kind) == expected, (a, b, kind)
+
+
+@st.composite
+def random_arc_sets(draw):
+    algebra = Algebra(
+        draw(st.sampled_from(["A", "B"])), draw(st.integers(min_value=1, max_value=40))
+    )
+    arcs = algebra.arcs()
+    picked = draw(st.lists(st.sampled_from(arcs), max_size=12))
+    return Diagram(algebra, frozenset(picked))
+
+
+@given(random_arc_sets(), st.sampled_from(list(DiagramKind)))
+def test_crossing_violation_reports_the_first_bad_pair(diagram, kind):
+    assert crossing_violation(diagram, kind) == literal_violation(diagram, kind)

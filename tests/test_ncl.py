@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from monobrick.arcs import Algebra, Arc
 from monobrick.diagrams import Diagram, DiagramKind, enumerate_diagrams, schroder
 from monobrick.ncl import (
     NclPartition,
+    _pair_violation,
     count_partitions,
     enumerate_partitions,
     from_diagram,
@@ -107,3 +111,51 @@ def test_json_roundtrip():
         partition_from_json({"blocks": [[1]]})
     with pytest.raises(ValueError):
         partition_from_json({"n": 2, "blocks": [[1, 3]]})
+
+
+def literal_violation(partition):
+    """The NCL check with every pair of blocks scanned, as a reference."""
+    covered = set().union(*partition.blocks)
+    ground = set(range(1, partition.n + 1))
+    if covered != ground:
+        return f"NCL1: marks {sorted(ground - covered)} are not covered by any block"
+    for e, f in combinations(partition.canonical(), 2):
+        message = _pair_violation(e, f)
+        if message:
+            return message
+    return None
+
+
+def one_mark_more(partition):
+    """Each way to add one mark to one block: mostly invalid partitions."""
+    for block in partition.blocks:
+        for mark in range(1, partition.n + 1):
+            if mark not in block:
+                yield NclPartition(
+                    partition.n, (partition.blocks - {block}) | {block | {mark}}
+                )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_violation_matches_all_pairs_scan(n):
+    for partition in enumerate_partitions(n):
+        assert violation(partition) is None
+        for variant in one_mark_more(partition):
+            assert violation(variant) == literal_violation(variant), variant
+
+
+@st.composite
+def random_partitions(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    blocks = draw(
+        st.lists(
+            st.frozensets(st.integers(min_value=1, max_value=n), min_size=1),
+            max_size=8,
+        )
+    )
+    return NclPartition(n, frozenset(blocks))
+
+
+@given(random_partitions())
+def test_violation_matches_all_pairs_scan_on_random_partitions(partition):
+    assert violation(partition) == literal_violation(partition)
