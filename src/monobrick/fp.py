@@ -21,10 +21,6 @@ def zero_matrix(nrows: int, ncols: int) -> Matrix:
     return tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def vec_mat(v: Sequence[int], m: Matrix, p: int) -> Vector:
     """Row vector times matrix."""
     if not m:

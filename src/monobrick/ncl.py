@@ -19,6 +19,7 @@ diagram enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -57,16 +58,38 @@ class NclPartition:
         return sorted(tuple(sorted(b)) for b in self.blocks)
 
 
+def _interleave(
+    x: tuple[int, ...], y: tuple[int, ...]
+) -> tuple[int, int, int, int] | None:
+    """Least ``(a, c, b, d)``, lexicographically, with ``a < b < c < d``,
+    ``a, c`` in sorted ``x`` and ``b, d`` in sorted ``y``, or None.
+
+    Any interleaving survives lowering ``a`` to ``x[0]``.  Then ``b`` is the
+    least ``y`` above ``a``, ``c`` the least ``x`` above ``b`` (which must
+    lie below ``y[-1]``) and ``d`` the least ``y`` above ``c``.
+    """
+    a = x[0]
+    i = bisect_right(y, a)
+    if i == len(y):
+        return None
+    b = y[i]
+    j = bisect_right(x, b)
+    if j == len(x) or x[j] >= y[-1]:
+        return None
+    c = x[j]
+    return a, b, c, y[bisect_right(y, c)]
+
+
 def _pair_violation(e: tuple[int, ...], f: tuple[int, ...]) -> str | None:
     """NCL2/NCL3 check for one unordered pair of sorted blocks."""
     for x, y in ((e, f), (f, e)):
-        for a, c in combinations(x, 2):
-            for b, d in combinations(y, 2):
-                if a < b < c < d:
-                    return (
-                        f"NCL2: blocks {list(x)} and {list(y)} interleave "
-                        f"at {a}<{b}<{c}<{d}"
-                    )
+        found = _interleave(x, y)
+        if found:
+            a, b, c, d = found
+            return (
+                f"NCL2: blocks {list(x)} and {list(y)} interleave "
+                f"at {a}<{b}<{c}<{d}"
+            )
     shared = set(e) & set(f)
     if len(shared) > 1:
         return f"NCL3: blocks {list(e)} and {list(f)} share {sorted(shared)}"
@@ -116,12 +139,10 @@ def to_diagram(partition: NclPartition) -> Diagram:
     if problem:
         raise ValueError(problem)
     algebra = Algebra.linear_a(partition.n - 1)
-    arcs = {
-        Arc(min(block), j)
-        for block in partition.blocks
-        for j in block
-        if j != min(block)
-    }
+    arcs = set()
+    for block in partition.blocks:
+        low = min(block)
+        arcs.update(Arc(low, j) for j in block if j != low)
     return Diagram(algebra, frozenset(arcs))
 
 

@@ -1,4 +1,4 @@
-"""Hardcoded quiver presets with their indecomposable representations.
+"""The bundled quiver presets with their indecomposable representations.
 
 Each preset bundles a quiver (vertices labelled from 1, arrows as 0-based
 ``(src, tgt)`` index pairs), the paths forced to vanish, and the full list
@@ -6,18 +6,21 @@ of indecomposable representations given by explicit matrices.  Matrices act
 on row vectors, so an arrow ``src -> tgt`` carries a ``dims[src] x
 dims[tgt]`` matrix and path composition multiplies left to right.
 
-Entries are 0/1, so the same data works over any prime field; the field
-only enters when linear algebra runs.  ``build_preset`` recomputes nothing:
-it validates shapes and the vanishing paths, then freezes the result.
+Four presets are serial: :func:`_serial` generates them from the arcs of
+their algebra, one uniserial module per arc.  ``a3_source`` is not serial
+and is written out by hand.  Entries are 0/1, so the same data works over
+any prime field; the field only enters when linear algebra runs.
+:func:`get_preset` checks the vanishing paths and the names, then caches
+the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from monobrick import FIELD_SIZES, PRESET_NAMES
-from monobrick.arcs import Algebra
+from monobrick.arcs import Algebra, arc_length, socle_series
 from monobrick.fp import Matrix, is_zero_matrix, mat_chain, zero_matrix
 
 
@@ -49,7 +52,6 @@ class Preset:
 
 
 def _rep(
-    num_vertices: int,
     arrows: tuple[tuple[int, int], ...],
     dims: tuple[int, ...],
     nonzero: dict[int, Matrix] | None = None,
@@ -68,47 +70,54 @@ def _rep(
 
 ONE: Matrix = ((1,),)
 
+# The serial presets and the arc algebras they model.
+SERIAL_ALGEBRAS = {
+    "a2_linear": Algebra.linear_a(2),
+    "a3_linear": Algebra.linear_a(3),
+    "nak2": Algebra.cyclic_b(2),
+    "b3": Algebra.cyclic_b(3),
+}
 
-def _linear_a2() -> Preset:
-    # 1 <- 2
-    arrows = ((1, 0),)
-    indecs = [
-        ("1", _rep(2, arrows, (1, 0))),
-        ("2", _rep(2, arrows, (0, 1))),
-        ("2/1", _rep(2, arrows, (1, 1), {0: ONE})),
-    ]
+
+def _serial(name: str, algebra: Algebra) -> Preset:
+    """The Nakayama algebra of ``algebra``, one uniserial module per arc.
+
+    Vertex ``v`` is mark ``v + 1`` and arrow ``v`` runs ``v + 1 -> v``; in
+    family B the last arrow closes the cycle and every path of length
+    ``rank`` vanishes.  An arc's module has one dimension at each mark of its
+    socle series and ``ONE`` on each arrow between consecutive marks of it;
+    its name reads the series from top to socle.  Arcs come in (length,
+    start) order.
+
+    >>> _serial("nak2", Algebra.cyclic_b(2)).indec_names
+    ('1', '2', '2/1', '1/2')
+    """
+    n = algebra.rank
+    arrows = tuple((v + 1, v) for v in range(n - 1))
+    zero_paths: tuple[tuple[int, ...], ...] = ()
+    if algebra.kind == "B":
+        arrows += ((0, n - 1),)
+        # The path of length n leaving vertex v: arrows v - 1, v - 2, ...
+        zero_paths = tuple(
+            tuple((v - 1 - k) % n for k in range(n)) for v in range(n)
+        )
+    names, reps = [], []
+    for arc in sorted(
+        algebra.arcs(), key=lambda a: (arc_length(a, algebra.marks), a.start)
+    ):
+        series = socle_series(arc, algebra.marks)
+        dims = tuple(int(v + 1 in series) for v in range(n))
+        names.append("/".join(str(m) for m in reversed(series)))
+        reps.append(_rep(arrows, dims, {m - 1: ONE for m in series[:-1]}))
     return Preset(
-        name="a2_linear",
-        num_vertices=2,
+        name=name,
+        num_vertices=n,
         arrows=arrows,
-        zero_paths=(),
-        indec_names=tuple(n for n, _ in indecs),
-        indec_reps=tuple(r for _, r in indecs),
+        zero_paths=zero_paths,
+        indec_names=tuple(names),
+        indec_reps=tuple(reps),
         p=2,
-        arc_algebra=Algebra.linear_a(2),
-    )
-
-
-def _linear_a3() -> Preset:
-    # 1 <- 2 <- 3
-    arrows = ((1, 0), (2, 1))
-    indecs = [
-        ("1", _rep(3, arrows, (1, 0, 0))),
-        ("2", _rep(3, arrows, (0, 1, 0))),
-        ("3", _rep(3, arrows, (0, 0, 1))),
-        ("2/1", _rep(3, arrows, (1, 1, 0), {0: ONE})),
-        ("3/2", _rep(3, arrows, (0, 1, 1), {1: ONE})),
-        ("3/2/1", _rep(3, arrows, (1, 1, 1), {0: ONE, 1: ONE})),
-    ]
-    return Preset(
-        name="a3_linear",
-        num_vertices=3,
-        arrows=arrows,
-        zero_paths=(),
-        indec_names=tuple(n for n, _ in indecs),
-        indec_reps=tuple(r for _, r in indecs),
-        p=2,
-        arc_algebra=Algebra.linear_a(3),
+        arc_algebra=algebra,
     )
 
 
@@ -116,12 +125,12 @@ def _source_a3() -> Preset:
     # 1 -> 2 <- 3
     arrows = ((0, 1), (2, 1))
     indecs = [
-        ("1", _rep(3, arrows, (1, 0, 0))),
-        ("2", _rep(3, arrows, (0, 1, 0))),
-        ("3", _rep(3, arrows, (0, 0, 1))),
-        ("1/2", _rep(3, arrows, (1, 1, 0), {0: ONE})),
-        ("3/2", _rep(3, arrows, (0, 1, 1), {1: ONE})),
-        ("13/2", _rep(3, arrows, (1, 1, 1), {0: ONE, 1: ONE})),
+        ("1", _rep(arrows, (1, 0, 0))),
+        ("2", _rep(arrows, (0, 1, 0))),
+        ("3", _rep(arrows, (0, 0, 1))),
+        ("1/2", _rep(arrows, (1, 1, 0), {0: ONE})),
+        ("3/2", _rep(arrows, (0, 1, 1), {1: ONE})),
+        ("13/2", _rep(arrows, (1, 1, 1), {0: ONE, 1: ONE})),
     ]
     return Preset(
         name="a3_source",
@@ -135,61 +144,13 @@ def _source_a3() -> Preset:
     )
 
 
-def _nakayama2() -> Preset:
-    # Two vertices in a cycle, paths of length two vanish.
-    arrows = ((1, 0), (0, 1))
-    zero_paths = ((0, 1), (1, 0))
-    indecs = [
-        ("1", _rep(2, arrows, (1, 0))),
-        ("2", _rep(2, arrows, (0, 1))),
-        ("2/1", _rep(2, arrows, (1, 1), {0: ONE})),
-        ("1/2", _rep(2, arrows, (1, 1), {1: ONE})),
-    ]
-    return Preset(
-        name="nak2",
-        num_vertices=2,
-        arrows=arrows,
-        zero_paths=zero_paths,
-        indec_names=tuple(n for n, _ in indecs),
-        indec_reps=tuple(r for _, r in indecs),
-        p=2,
-        arc_algebra=Algebra.cyclic_b(2),
-    )
-
-
-def _nakayama3() -> Preset:
-    # Three vertices in a cycle, paths of length three vanish.
-    arrows = ((1, 0), (2, 1), (0, 2))
-    zero_paths = ((2, 1, 0), (0, 2, 1), (1, 0, 2))
-    indecs = [
-        ("1", _rep(3, arrows, (1, 0, 0))),
-        ("2", _rep(3, arrows, (0, 1, 0))),
-        ("3", _rep(3, arrows, (0, 0, 1))),
-        ("2/1", _rep(3, arrows, (1, 1, 0), {0: ONE})),
-        ("3/2", _rep(3, arrows, (0, 1, 1), {1: ONE})),
-        ("1/3", _rep(3, arrows, (1, 0, 1), {2: ONE})),
-        ("3/2/1", _rep(3, arrows, (1, 1, 1), {0: ONE, 1: ONE})),
-        ("1/3/2", _rep(3, arrows, (1, 1, 1), {1: ONE, 2: ONE})),
-        ("2/1/3", _rep(3, arrows, (1, 1, 1), {0: ONE, 2: ONE})),
-    ]
-    return Preset(
-        name="b3",
-        num_vertices=3,
-        arrows=arrows,
-        zero_paths=zero_paths,
-        indec_names=tuple(n for n, _ in indecs),
-        indec_reps=tuple(r for _, r in indecs),
-        p=2,
-        arc_algebra=Algebra.cyclic_b(3),
-    )
-
-
 _BUILDERS = {
-    "a2_linear": _linear_a2,
-    "a3_linear": _linear_a3,
-    "a3_source": _source_a3,
-    "nak2": _nakayama2,
-    "b3": _nakayama3,
+    name: (
+        partial(_serial, name, SERIAL_ALGEBRAS[name])
+        if name in SERIAL_ALGEBRAS
+        else _source_a3
+    )
+    for name in PRESET_NAMES
 }
 
 
@@ -222,7 +183,7 @@ def get_preset(name: str, p: int = 2) -> Preset:
 def direct_sum(preset: Preset, reps: tuple[Rep, ...]) -> Rep:
     """Block-diagonal sum of representations over the preset's quiver."""
     if not reps:
-        return _rep(preset.num_vertices, preset.arrows, (0,) * preset.num_vertices)
+        return _rep(preset.arrows, (0,) * preset.num_vertices)
     dims = tuple(
         sum(r.dims[v] for r in reps) for v in range(preset.num_vertices)
     )

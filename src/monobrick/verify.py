@@ -21,6 +21,7 @@ from monobrick.oracle import (
     OracleError,
     get_oracle,
 )
+from monobrick.presets import SERIAL_ALGEBRAS
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -46,7 +47,7 @@ EXPECTED_COUNTS = {
 # satisfies the one-sided Schur condition exactly when it is closed under
 # extensions, kernels and images.  The source orientation is not serial and
 # provides genuine one-directional counterexamples.
-SERIAL_PRESETS = frozenset({"a2_linear", "a3_linear", "nak2", "b3"})
+SERIAL_PRESETS = frozenset(SERIAL_ALGEBRAS)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,33 @@ def test_json_roundtrip():
         partition_from_json({"n": 2, "blocks": [[1, 3]]})
 
 
+def literal_pair_violation(e, f):
+    """The pair check with every pair of marks of one block tried against
+    every pair of the other, as a reference."""
+    for x, y in ((e, f), (f, e)):
+        for a, c in combinations(x, 2):
+            for b, d in combinations(y, 2):
+                if a < b < c < d:
+                    return (
+                        f"NCL2: blocks {list(x)} and {list(y)} interleave "
+                        f"at {a}<{b}<{c}<{d}"
+                    )
+    shared = set(e) & set(f)
+    if len(shared) > 1:
+        return f"NCL3: blocks {list(e)} and {list(f)} share {sorted(shared)}"
+    if shared:
+        j = next(iter(shared))
+        ok = (j == e[0] and len(e) > 1 and j != f[0]) or (
+            j == f[0] and len(f) > 1 and j != e[0]
+        )
+        if not ok:
+            return (
+                f"NCL3: shared mark {j} of blocks {list(e)} and {list(f)} "
+                "must be the minimum of exactly one of them, not a singleton"
+            )
+    return None
+
+
 def literal_violation(partition):
     """The NCL check with every pair of blocks scanned, as a reference."""
     covered = set().union(*partition.blocks)
@@ -120,10 +147,18 @@ def literal_violation(partition):
     if covered != ground:
         return f"NCL1: marks {sorted(ground - covered)} are not covered by any block"
     for e, f in combinations(partition.canonical(), 2):
-        message = _pair_violation(e, f)
+        message = literal_pair_violation(e, f)
         if message:
             return message
     return None
+
+
+def test_pair_violation_matches_the_literal_scan_on_all_small_blocks():
+    marks = range(1, 8)
+    blocks = [c for k in range(1, 8) for c in combinations(marks, k)]
+    for e in blocks:
+        for f in blocks:
+            assert _pair_violation(e, f) == literal_pair_violation(e, f), (e, f)
 
 
 def one_mark_more(partition):
