@@ -19,7 +19,7 @@ diagram enumeration.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -90,11 +90,18 @@ def _pair_violation(e: tuple[int, ...], f: tuple[int, ...]) -> str | None:
                 f"NCL2: blocks {list(x)} and {list(y)} interleave "
                 f"at {a}<{b}<{c}<{d}"
             )
-    shared = set(e) & set(f)
+    # Bisect the longer block for each mark of the shorter one, so a long
+    # block costs only a logarithm against each of the many it can nest.
+    short, long = sorted((e, f), key=len)
+    shared = []
+    for x in short:
+        k = bisect_left(long, x)
+        if k < len(long) and long[k] == x:
+            shared.append(x)
     if len(shared) > 1:
-        return f"NCL3: blocks {list(e)} and {list(f)} share {sorted(shared)}"
+        return f"NCL3: blocks {list(e)} and {list(f)} share {shared}"
     if shared:
-        j = next(iter(shared))
+        j = shared[0]
         ok = (j == e[0] and len(e) > 1 and j != f[0]) or (
             j == f[0] and len(f) > 1 and j != e[0]
         )
@@ -120,7 +127,8 @@ def violation(partition: NclPartition) -> str | None:
     # the right of e: no interleaving, no shared mark, nothing to check.
     blocks = partition.canonical()
     for i, e in enumerate(blocks):
-        for f in blocks[i + 1 :]:
+        for k in range(i + 1, len(blocks)):
+            f = blocks[k]
             if f[0] > e[-1]:
                 break
             message = _pair_violation(e, f)

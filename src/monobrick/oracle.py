@@ -28,13 +28,17 @@ A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
 into itself.  Whether a tuple is stable across an arrow, and that arrow's
 block in the sub- and quotient representation, depend only on the arrow's
-matrix and on the two subspaces.  So each distinct arrow matrix gets one
-dense table, built on first use and shared by every member carrying that
-matrix: indexed by the positions of the two subspaces in ``fp.subspaces``,
-it holds an interned block-pair id or a sentinel for unstable pairs.  A
-member's table then walks the subspace tuples vertex by vertex, drops a
-tuple at the first unstable arrow, and assembles the sub- and quotient
-representations from looked-up blocks before identifying them.
+matrix and on the two subspaces.  Of the source subspace they read only
+its pivots and the images of its basis, of the target subspace only its
+pivots and the matrix rows reduced modulo it; subspaces that agree on these
+form one class.  So each distinct arrow matrix gets one table, built on
+first use and shared by every member carrying that matrix: the class of
+every source and every target subspace, and per pair of classes an interned
+block-pair id or a sentinel for unstable pairs.  At a vertex, subspaces of
+one dimension with the same class in every table there are interchangeable,
+so a member's table walks one subspace per such vertex class, vertex by
+vertex, drops a tuple at the first unstable arrow, and assembles the sub-
+and quotient representations from looked-up blocks before identifying them.
 """
 
 from __future__ import annotations
@@ -73,6 +77,15 @@ class _MemberMasks(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # (a, q) with a and q nonzero
 
 
+class _ArrowTable(NamedTuple):
+    """One arrow matrix's block-pair ids over classes of subspaces."""
+
+    source_class: array  # class of each ``fp.subspaces(d_s, p)`` position
+    target_class: array  # class of each ``fp.subspaces(d_t, p)`` position
+    n_targets: int  # number of target classes
+    entries: array  # source class i, target class j at i * n_targets + j
+
+
 class OracleError(RuntimeError):
     """A model-level guarantee failed (or would be too large to check)."""
 
@@ -104,6 +117,12 @@ class ClosureFlags:
     @property
     def torsion_free(self) -> bool:
         return self.extensions and self.subobjects
+
+
+@lru_cache(maxsize=None)
+def _subspace_dims(d: int, p: int) -> array:
+    """The dimension of every subspace of F_p^d, in ``fp.subspaces`` order."""
+    return array("B", (len(pivots) for _, pivots in fp.subspaces(d, p)))
 
 
 def _unpack_element(
@@ -153,7 +172,7 @@ class Oracle:
         self._identify_cache: dict[Rep, Member] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
-        self._arrow_tables: dict[tuple[fp.Matrix, int, int], array] = {}
+        self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
         self._blocks: list[tuple[fp.Matrix, fp.Matrix]] = []
         self._block_ids: dict[tuple[fp.Matrix, fp.Matrix], int] = {}
 
@@ -396,14 +415,16 @@ class Oracle:
     # ------------------------------------------------------------------
     # subquotient tables
 
-    def _arrow_table(self, mat: fp.Matrix, d_s: int, d_t: int) -> array:
-        """Block-pair ids of one arrow matrix over all pairs of subspaces.
+    def _arrow_table(self, mat: fp.Matrix, d_s: int, d_t: int) -> _ArrowTable:
+        """Block-pair ids of one arrow matrix over classes of subspaces.
 
-        Entry ``i * n_t + j``, with ``n_t = len(fp.subspaces(d_t, p))``,
-        covers source subspace ``fp.subspaces(d_s, p)[i]`` and target
-        subspace ``fp.subspaces(d_t, p)[j]``.  It is ``_UNSTABLE`` unless
-        the matrix maps the first into the second; otherwise it is the id
-        in ``self._blocks`` of the arrow's (sub block, quotient block): the
+        A source subspace enters an entry only through its pivots and the
+        images of its basis, a target subspace only through its pivots and
+        the matrix rows reduced modulo it; subspaces that agree on these
+        form one class.  Entry ``i * n_targets + j`` covers source class
+        ``i`` and target class ``j``.  It is ``_UNSTABLE`` unless the matrix
+        maps the first into the second; otherwise it is the id in
+        ``self._blocks`` of the arrow's (sub block, quotient block): the
         images of the source basis in coordinates of the target basis, and
         the matrix on the non-pivot coordinates after reducing modulo the
         two subspaces.
@@ -414,25 +435,34 @@ class Oracle:
             return table
         p = self.p
         blocks, block_ids = self._blocks, self._block_ids
-
-        def source(space):
-            # the basis, its images, and the non-pivot (quotient) coordinates
-            basis, pivots = space
-            images = [fp.vec_mat(u, mat, p) for u in basis]
-            return basis, images, [c for c in range(d_s) if c not in pivots]
-
-        def target(space):
-            # every matrix row reduced modulo the space, at its non-pivots,
-            # and the same numbers by column
-            basis, pivots = space
+        image_of: dict[fp.Vector, fp.Vector] = {}  # subspaces share basis rows
+        sources: dict = {}  # (pivots, images) -> class, a representative basis
+        source_class = array("i")
+        for basis, pivots in fp.subspaces(d_s, p):
+            for u in basis:
+                if u not in image_of:
+                    image_of[u] = fp.vec_mat(u, mat, p)
+            images = tuple(map(image_of.__getitem__, basis))
+            source_class.append(
+                sources.setdefault((pivots, images), (len(sources), basis))[0]
+            )
+        # (pivots, rows reduced modulo the space at its non-pivots) -> class,
+        # the same numbers by column
+        targets: dict = {}
+        target_class = array("i")
+        for basis, pivots in fp.subspaces(d_t, p):
             free = [c for c in range(d_t) if c not in pivots]
-            reduced = [fp.reduce_vec(row, basis, pivots, p) for row in mat]
-            reduced = [tuple(r[c] for c in free) for r in reduced]
-            return pivots, reduced, list(zip(*reduced))
+            reduced = tuple(
+                tuple(r[c] for c in free)
+                for r in (fp.reduce_vec(row, basis, pivots, p) for row in mat)
+            )
+            target_class.append(
+                targets.setdefault(
+                    (pivots, reduced), (len(targets), tuple(zip(*reduced)))
+                )[0]
+            )
 
-        def entry(src, tgt) -> int:
-            basis_s, images, free_s = src
-            pivots_t, reduced, columns = tgt
+        def entry(pivots_s, images, basis_s, pivots_t, reduced, columns) -> int:
             # Reduction modulo the target is linear, so u M lies in it iff
             # u times the reduced rows vanishes.
             for u in basis_s:
@@ -441,7 +471,7 @@ class Oracle:
                         return _UNSTABLE
             pair = (
                 tuple(tuple(im[c] for c in pivots_t) for im in images),
-                tuple(reduced[c] for c in free_s),
+                tuple(row for c, row in enumerate(reduced) if c not in pivots_s),
             )
             bid = block_ids.get(pair)
             if bid is None:
@@ -449,23 +479,12 @@ class Oracle:
                 blocks.append(pair)
             return bid
 
-        sources, targets = fp.subspaces(d_s, p), fp.subspaces(d_t, p)
-        n_t = len(targets)
-        table = array("i", [_UNSTABLE]) * (len(sources) * n_t)
-        # Only the shorter side is prepared up front: the other one may run
-        # to tens of thousands of subspaces (42,176 in F_5^5).
-        if len(sources) <= n_t:
-            prepared = [source(space) for space in sources]
-            for j, space in enumerate(targets):
-                tgt = target(space)
-                for i, src in enumerate(prepared):
-                    table[i * n_t + j] = entry(src, tgt)
-        else:
-            prepared = [target(space) for space in targets]
-            for i, space in enumerate(sources):
-                src = source(space)
-                for j, tgt in enumerate(prepared):
-                    table[i * n_t + j] = entry(src, tgt)
+        entries = array("i", [
+            entry(pivots_s, images, basis_s, pivots_t, reduced, columns)
+            for (pivots_s, images), (_, basis_s) in sources.items()
+            for (pivots_t, reduced), (_, columns) in targets.items()
+        ])
+        table = _ArrowTable(source_class, target_class, len(targets), entries)
         self._arrow_tables[key] = table
         return table
 
@@ -510,26 +529,40 @@ class Oracle:
     def _stable_pairs(
         self, member: Member, rep: Rep
     ) -> frozenset[tuple[Member, Member]]:
-        """Identify the sub and quotient of every nontrivial stable tuple."""
+        """Identify the sub and quotient of every nontrivial stable tuple.
+
+        Two subspaces at a vertex are interchangeable when they have the
+        same dimension and the same class in every arrow table at the
+        vertex, so the walk takes one subspace of each such vertex class.
+        """
         p, dims, blocks = self.p, rep.dims, self._blocks
         arrows = self.preset.arrows
         nv = len(dims)
-        spaces = [fp.subspaces(d, p) for d in dims]
-        space_dims = [[len(basis) for basis, _ in sp] for sp in spaces]
-        # Each arrow is looked up once both of its ends have a subspace.
+        tables = [
+            self._arrow_table(m, dims[s], dims[t])
+            for m, (s, t) in zip(rep.mats, arrows)
+        ]
+        # A vertex class is (dimension, class in each table at the vertex),
+        # the tables in arrow order, source role before target role.
+        columns = [[_subspace_dims(d, p)] for d in dims]
+        # Each arrow is looked up once both of its ends have a class.
         checks = [[] for _ in range(nv)]
-        for a, (s, t) in enumerate(arrows):
-            table = self._arrow_table(rep.mats[a], dims[s], dims[t])
-            checks[max(s, t)].append((a, s, t, len(spaces[t]), table))
+        for a, ((s, t), table) in enumerate(zip(arrows, tables)):
+            columns[s].append(table.source_class)
+            i = len(columns[s]) - 1
+            columns[t].append(table.target_class)
+            j = len(columns[t]) - 1
+            checks[max(s, t)].append((a, s, i, t, j, table.n_targets, table.entries))
+        classes = [list(dict.fromkeys(zip(*cols))) for cols in columns]
         total = rep.total_dim
-        chosen = [0] * nv
+        chosen = [None] * nv
         ids = [0] * len(arrows)
         seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         pairs = {(ZERO, member), (member, ZERO)}
 
         def walk(v: int) -> None:
             if v == nv:
-                sub_dims = tuple(space_dims[w][chosen[w]] for w in range(nv))
+                sub_dims = tuple(c[0] for c in chosen)
                 key = (sub_dims, tuple(ids))
                 if sum(sub_dims) in (0, total) or key in seen:
                     return
@@ -541,10 +574,10 @@ class Oracle:
                 )
                 pairs.add((self.identify(sub), self.identify(quot)))
                 return
-            for x in range(len(spaces[v])):
-                chosen[v] = x
-                for a, s, t, n_t, table in checks[v]:
-                    bid = table[chosen[s] * n_t + chosen[t]]
+            for c in classes[v]:
+                chosen[v] = c
+                for a, s, i, t, j, n_t, entries in checks[v]:
+                    bid = entries[chosen[s][i] * n_t + chosen[t][j]]
                     if bid == _UNSTABLE:
                         break
                     ids[a] = bid

@@ -1,0 +1,36 @@
+"""The per-pair arrow-table entry, kept as a test reference.
+
+The package keys each arrow table by classes of subspaces and computes one
+entry per pair of classes.  This is the entry it was derived from, computed
+for one pair of subspaces on its own: test that the matrix maps the source
+subspace into the target one, then read off the sub block and the quotient
+block.  Tests compare the two on every pair of subspaces.
+"""
+
+from monobrick import fp
+
+
+def literal_entry(mat, source, target, p):
+    """The (sub block, quotient block) of ``mat`` at a pair of subspaces,
+    or None when the matrix does not map the source into the target.
+
+    Each subspace is a (RREF basis, pivots) pair from ``fp.subspaces``.
+    The sub block holds the images of the source basis in coordinates of
+    the target basis; the quotient block is the matrix on the non-pivot
+    coordinates after reducing modulo the two subspaces.
+    """
+    basis_s, pivots_s = source
+    basis_t, pivots_t = target
+    d_s = len(mat)
+    d_t = len(mat[0]) if mat else 0
+    images = [fp.vec_mat(u, mat, p) for u in basis_s]
+    if not all(fp.in_span(im, basis_t, pivots_t, p) for im in images):
+        return None
+    sub = tuple(fp.coords_in_span(im, basis_t, pivots_t, p) for im in images)
+    free_s = [c for c in range(d_s) if c not in pivots_s]
+    free_t = [c for c in range(d_t) if c not in pivots_t]
+    quot = tuple(
+        tuple(fp.reduce_vec(mat[c], basis_t, pivots_t, p)[c2] for c2 in free_t)
+        for c in free_s
+    )
+    return sub, quot

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -194,3 +195,16 @@ def random_partitions(draw):
 @given(random_partitions())
 def test_violation_matches_all_pairs_scan_on_random_partitions(partition):
     assert violation(partition) == literal_violation(partition)
+
+
+def test_one_long_block_against_many_nested_singletons_is_linear():
+    # The odd marks form one block and every even mark is a singleton inside
+    # it: 10,000 pairs that share no mark.  Building both blocks' sets per
+    # pair made this quadratic (about 2 s on two cores).
+    n = 20_000
+    partition = NclPartition(
+        n, [range(1, n + 1, 2)] + [{j} for j in range(2, n + 1, 2)]
+    )
+    started = time.perf_counter()
+    assert violation(partition) is None
+    assert time.perf_counter() - started < 1.0

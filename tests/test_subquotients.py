@@ -1,11 +1,12 @@
-"""Subquotient tables: per-arrow block tables against the brute-force route.
+"""Subquotient tables: per-arrow class tables against the brute-force route.
 
-Production builds one block table per arrow matrix and walks subspace
-tuples through it.  The reference here is the direct construction: for
-every tuple of subspaces, test stability vector by vector, then build the
-restricted and the induced quotient representation from scratch.  Both
-routes run on their own fresh oracle, which records every representation
-handed to ``identify``.
+Production builds one table per arrow matrix over classes of subspaces and
+walks one subspace per vertex class through it.  The reference here is the
+direct construction: for every tuple of subspaces, test stability vector by
+vector, then build the restricted and the induced quotient representation
+from scratch.  Both routes run on their own fresh oracle, which records
+every representation handed to ``identify``.  The class tables themselves
+are checked against ``literal_entry`` on every pair of subspaces.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from array import array
 from functools import lru_cache
 
 import pytest
+from literal_tables import literal_entry
 
 from monobrick import fp
 from monobrick.oracle import _UNSTABLE, ZERO, Oracle
@@ -23,6 +25,7 @@ CASES = [(name, 2) for name in PRESET_NAMES] + [
     ("a2_linear", 3),
     ("nak2", 3),
     ("a3_source", 3),
+    ("b3", 3),
 ]
 
 
@@ -113,18 +116,45 @@ def test_both_routes_hand_identify_the_same_reps(name, p):
 
 
 def test_arrow_table_layout_for_the_identity():
-    # F_2^1 has the subspaces 0 and F; the identity maps F into 0 only
-    # when the pair is (F, 0), the one unstable entry.
+    # F_2^1 has the subspaces 0 and F, each its own class on both sides; the
+    # identity maps F into 0 only when the pair is (F, 0), the one unstable
+    # entry.
     oracle = Oracle(get_preset("a2_linear", 2))
     table = oracle._arrow_table(((1,),), 1, 1)
-    assert isinstance(table, array) and len(table) == 4
-    assert table[2] == _UNSTABLE
-    assert [oracle._blocks[table[k]] for k in (0, 1, 3)] == [
+    assert list(table.source_class) == [0, 1]
+    assert list(table.target_class) == [0, 1]
+    assert table.n_targets == 2
+    assert isinstance(table.entries, array) and len(table.entries) == 4
+    assert table.entries[2] == _UNSTABLE
+    assert [oracle._blocks[table.entries[k]] for k in (0, 1, 3)] == [
         ((), ((1,),)),
         ((), ((),)),
         (((1,),), ()),
     ]
     assert oracle._arrow_table(((1,),), 1, 1) is table
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_class_tables_match_the_literal_entry(name, p):
+    # Every pair of subspaces is computed on its own: all pairs in one pair
+    # of classes must share one literal entry, and it must be the class
+    # entry.
+    oracle = Oracle(get_preset(name, p))
+    for member in oracle.members:
+        oracle.subquotients(member)
+    assert oracle._arrow_tables
+    for (mat, d_s, d_t), table in oracle._arrow_tables.items():
+        literal = {}
+        for source, i in zip(fp.subspaces(d_s, p), table.source_class):
+            for target, j in zip(fp.subspaces(d_t, p), table.target_class):
+                entry = literal_entry(mat, source, target, p)
+                literal.setdefault((i, j), set()).add(entry)
+        assert len(literal) == len(table.entries)
+        for (i, j), entries in literal.items():
+            bid = table.entries[i * table.n_targets + j]
+            want = None if bid == _UNSTABLE else oracle._blocks[bid]
+            assert entries == {want}, (mat, i, j)
 
 
 _ARC = ["universe-size", "identification", "census", "arc-agreement"]
@@ -139,8 +169,11 @@ EXPECTED_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize(
+    "name,p",
+    [(name, p) for name in PRESET_NAMES for p in (2, 3)]
+    + [("a2_linear", 5), ("a3_source", 5)],
+)
 def test_run_checks_verdicts_are_pinned(name, p):
     got = [(r.name, r.passed, r.detail) for r in run_checks(name, p)]
     assert got == [(check, True, "") for check in EXPECTED_CHECKS[name]]
