@@ -192,7 +192,7 @@ def enumerate_command(family, rank, kind, budget, out_path):
     except BudgetExceeded as exc:
         raise BudgetError(str(exc)) from exc
     table = arc_table(algebra)
-    lines = json_lines(table, table.diagrams(_KINDS[kind]))
+    lines = json_lines(table, _KINDS[kind])
     with _sink(out_path) as fh:
         total = 0
         while batch := list(islice(lines, _LINES_PER_WRITE)):
@@ -227,8 +227,12 @@ def count_command(family, n_max, n_min, kind, budget, fmt, out_path):
         raise click.UsageError("--n-max must be at least --n-min")
     diagram_kind = _KINDS[kind]
     limit = _budget_override(family, budget)
+    # Ranks valid at n_min are valid above it, and the cap bites at n_max:
+    # refuse the range before counting any rank.
+    _make_algebra(family, n_min)
     rows = []
     try:
+        check_budget(_make_algebra(family, n_max), limit)
         for rank in range(n_min, n_max + 1):
             algebra = _make_algebra(family, rank)
             enumerated = count_diagrams(algebra, diagram_kind, limit)

@@ -195,7 +195,7 @@ class Oracle:
         self._fingerprint_to: dict[Member, tuple[int, ...]] = {}
         self._fingerprint_from: dict[Member, tuple[int, ...]] = {}
         self._check_fingerprints()
-        self._simple_at_vertex = self._locate_simples()
+        self._check_simples()
 
     # ------------------------------------------------------------------
     # universe bookkeeping
@@ -256,21 +256,14 @@ class Oracle:
                 )
             seen[key] = m
 
-    def _locate_simples(self) -> tuple[str, ...]:
-        out = []
-        for v in range(self.preset.num_vertices):
-            indicator = tuple(
-                1 if w == v else 0 for w in range(self.preset.num_vertices)
-            )
-            matches = [
-                n
-                for n, r in zip(self.preset.indec_names, self.preset.indec_reps)
-                if r.dims == indicator
-            ]
+    def _check_simples(self) -> None:
+        """Refuse a preset without exactly one simple at some vertex."""
+        vertices = self.preset.num_vertices
+        for v in range(vertices):
+            indicator = tuple(1 if w == v else 0 for w in range(vertices))
+            matches = [r for r in self.preset.indec_reps if r.dims == indicator]
             if len(matches) != 1:
                 raise OracleError(f"no unique simple at vertex {v + 1}")
-            out.append(matches[0])
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # hom spaces

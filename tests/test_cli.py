@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import monobrick
-from monobrick import cli, presets
+from monobrick import cli, diagrams, presets
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import EXPECTED_COUNTS, CheckResult
@@ -89,8 +89,9 @@ def test_enumerate_is_deterministic(runner):
     ("family", "ranks"), [("A", range(0, 7)), ("B", range(1, 6))]
 )
 def test_enumerate_stream_matches_library_encoding(runner, family, ranks, kind):
-    # The CLI joins per-arc fragments; the library builds Diagram objects
-    # and encodes them with json.dumps.  Both must give the same bytes.
+    # The CLI grows each line inside the clique search; the library builds
+    # Diagram objects and encodes them with json.dumps.  Both must give the
+    # same bytes.
     for rank in ranks:
         algebra = Algebra(family, rank)
         expected = "".join(
@@ -235,6 +236,34 @@ def test_count_semibricks_have_no_recurrence_column_value(runner):
 def test_count_rejects_empty_range(runner):
     result = runner.invoke(
         cli.main, ["count", "--algebra", "A", "--n-max", "1", "--n-min", "3"]
+    )
+    assert result.exit_code == 2
+
+
+def test_count_over_budget_exits_before_any_work(runner, tmp_path, monkeypatch):
+    # The cap bites at --n-max, so no rank below it may be counted first.
+    def refuse(algebra):
+        raise AssertionError(f"count built a table for {algebra}")
+
+    monkeypatch.setattr(diagrams, "arc_table", refuse)
+    monkeypatch.setattr(cli, "arc_table", refuse)
+    result = runner.invoke(cli.main, ["count", "--algebra", "A", "--n-max", "11"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "budget" in result.stderr
+    target = tmp_path / "table.md"
+    target.write_bytes(b"earlier table\n")
+    result = runner.invoke(
+        cli.main,
+        ["count", "--algebra", "B", "--n-max", "8", "--out", str(target)],
+    )
+    assert result.exit_code == 3
+    assert target.read_bytes() == b"earlier table\n"
+
+
+def test_count_reports_bad_ranks_before_the_budget(runner):
+    result = runner.invoke(
+        cli.main, ["count", "--algebra", "B", "--n-min", "0", "--n-max", "99"]
     )
     assert result.exit_code == 2
 

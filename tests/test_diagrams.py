@@ -3,14 +3,16 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, strategies as st
 
-from monobrick.arcs import Algebra, Arc, Crossing, HomKind
+from monobrick.arcs import Algebra, Arc, Crossing, HomKind, hom_kind, submodule_arcs
 from monobrick.diagrams import (
+    ArcTable,
     BudgetExceeded,
     Diagram,
     DiagramKind,
     arc_table,
     catalan,
     central_binomial,
+    count_cliques,
     count_closed_form,
     count_diagrams,
     crossing_violation,
@@ -21,6 +23,7 @@ from monobrick.diagrams import (
     is_monobrick,
     is_semibrick,
     iter_index_cliques,
+    json_lines,
     schroder,
 )
 from monobrick.poset import cofinal_closure, is_cofinally_closed
@@ -121,6 +124,86 @@ def test_iter_index_cliques_on_triangle_with_pendant():
     assert (0, 3) not in cliques
     assert cliques[0] == ()
     assert len(cliques) == len(set(cliques))
+
+
+STREAM_ALGEBRAS = [Algebra.linear_a(r) for r in range(11)] + [
+    Algebra.cyclic_b(r) for r in range(1, 8)
+]
+
+
+@pytest.mark.parametrize("algebra", STREAM_ALGEBRAS, ids=str)
+def test_clique_count_is_the_length_of_the_clique_stream(algebra):
+    # The memoised count skips listing; the stream lists every clique.
+    table = arc_table(algebra)
+    for kind in (DiagramKind.MONOBRICK, DiagramKind.SEMIBRICK):
+        listed = sum(1 for _ in iter_index_cliques(table.adjacency[kind]))
+        assert count_diagrams(algebra, kind) == listed, kind
+
+
+@st.composite
+def symmetric_graphs(draw):
+    size = draw(st.integers(min_value=0, max_value=14))
+    adjacency = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if draw(st.booleans()):
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return adjacency
+
+
+@given(symmetric_graphs())
+def test_clique_search_accumulates_any_items(adjacency):
+    cliques = list(iter_index_cliques(adjacency))
+    assert count_cliques(adjacency) == len(cliques)
+    items = [f"<{i}>" for i in range(len(adjacency))]
+    expected = ["#" + "".join(items[i] for i in clique) for clique in cliques]
+    assert list(iter_index_cliques(adjacency, "#", items)) == expected
+
+
+def literal_json_lines(table, cliques):
+    """Each index tuple's line joined from per-arc fragments."""
+    algebra = table.algebra
+    head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
+    fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
+    for clique in cliques:
+        yield head + ",".join([fragments[i] for i in clique]) + "]}\n"
+
+
+# Every route of json_lines runs by A9; A10's million lines add only time.
+@pytest.mark.parametrize(
+    "algebra", [a for a in STREAM_ALGEBRAS if a != Algebra.linear_a(10)], ids=str
+)
+def test_json_lines_match_the_per_line_join(algebra):
+    table = arc_table(algebra)
+    for kind in DiagramKind:
+        expected = literal_json_lines(table, table.diagrams(kind))
+        assert list(json_lines(table, kind)) == list(expected), kind
+
+
+def literal_submodule_masks(algebra):
+    """``prefixes`` and ``bad`` from ``submodule_arcs`` and ``hom_kind`` on
+    every ordered arc pair."""
+    arcs = algebra.arcs()
+    index = {arc: i for i, arc in enumerate(arcs)}
+    prefixes = tuple(
+        sum(1 << index[sub] for sub in submodule_arcs(p, algebra)) for p in arcs
+    )
+    bad = tuple(
+        sum(
+            1 << j
+            for j, m in enumerate(arcs)
+            if hom_kind(p, m, algebra) is HomKind.NONZERO_NON_INJECTION
+        )
+        for p in arcs
+    )
+    return prefixes, bad
+
+
+@pytest.mark.parametrize("algebra", STREAM_ALGEBRAS, ids=str)
+def test_submodule_masks_match_the_pairwise_loops(algebra):
+    table = ArcTable(algebra)
+    assert (table.prefixes, table.bad) == literal_submodule_masks(algebra)
 
 
 def test_budget_enforcement():

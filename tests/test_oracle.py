@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from monobrick.arcs import hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
-from monobrick.oracle import ZERO, ClosureFlags, OracleError, get_oracle
+from monobrick.oracle import ZERO, ClosureFlags, Oracle, OracleError, get_oracle
 from monobrick.presets import PRESET_NAMES, get_preset
 
 ALL = list(PRESET_NAMES)
@@ -47,6 +48,18 @@ def test_universe_anchor_counts():
 def test_dim_bound_must_cover_indecomposables():
     with pytest.raises(ValueError, match="misses indecomposables"):
         get_oracle("a2_linear", 1)
+
+
+def test_preset_without_a_simple_is_refused():
+    preset = get_preset("a2_linear")
+    keep = [i for i, name in enumerate(preset.indec_names) if name != "2"]
+    broken = replace(
+        preset,
+        indec_names=tuple(preset.indec_names[i] for i in keep),
+        indec_reps=tuple(preset.indec_reps[i] for i in keep),
+    )
+    with pytest.raises(OracleError, match="no unique simple at vertex 2"):
+        Oracle(broken)
 
 
 def test_unknown_preset_and_bad_field():
