@@ -9,7 +9,6 @@ from monobrick.arcs import (
     crossing_kind,
     hom_kind,
     socle_series,
-    submodule_arcs,
 )
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "arc_length",
     "crossing_kind",
     "hom_kind",
-    "socle_series",
-    "submodule_arcs",
     "FIELD_SIZES",
     "PRESET_NAMES",
 ]

@@ -6,13 +6,14 @@ diagrams, conversion between arc diagrams and non-crossing linked
 partitions, the bundled module-category audits, and ASCII rendering.
 
 Each command imports only the layers it runs: ``poset`` is imported by
-``closure`` and ``mmax``, and the matrix oracle (``fp``, ``presets``,
-``oracle``, ``verify``) by ``oracle verify`` alone.  Every run starts a
-fresh interpreter, so a module never loaded is time saved on every call.
+``closure``, ``mmax`` and ``oracle verify``, and the matrix oracle (``fp``,
+``presets``, ``oracle``, ``verify``) by ``oracle verify`` alone.  Every run
+starts a fresh interpreter, so a module never loaded is time saved on every
+call.
 
 Exit codes are a stable contract: 0 success, 1 a verification suite
-reported failures, 2 command-line misuse, 3 enumeration budget exceeded,
-4 mathematically invalid input data.
+reported failures, 2 command-line misuse, 3 enumeration budget or query
+rank cap exceeded, 4 mathematically invalid input data.
 """
 
 import json
@@ -66,6 +67,11 @@ _KINDS = {
     "semibrick": DiagramKind.SEMIBRICK,
     "cofinally-closed": DiagramKind.COFINALLY_CLOSED,
 }
+
+# closure, mmax, render and ncl refuse a diagram of higher rank, or a
+# partition of a larger ground set, before any work: their work and output
+# grow linearly with the rank.
+QUERY_RANK_CAP = 10_000
 
 # enumerate joins this many lines per write(): about 16 KB.  Unbuffered
 # stdout (PYTHONUNBUFFERED, python -u) would otherwise make every line a
@@ -133,11 +139,18 @@ def _read_json(in_path):
     return payload
 
 
-def _read_diagram(in_path) -> Diagram:
+def _cap_query(size: int, what: str) -> None:
+    if size > QUERY_RANK_CAP:
+        raise BudgetError(f"{what} {size} exceeds the query cap {QUERY_RANK_CAP}")
+
+
+def _diagram_of(payload) -> Diagram:
     try:
-        return diagram_from_json(_read_json(in_path))
+        diagram = diagram_from_json(payload)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    _cap_query(diagram.algebra.rank, "rank")
+    return diagram
 
 
 def _require_monobrick(diagram: Diagram) -> None:
@@ -286,7 +299,7 @@ def _hasse_payload(diagram: Diagram) -> list:
 
 
 def _poset_query(in_path, with_hasse, out_path, operation) -> None:
-    diagram = _read_diagram(in_path)
+    diagram = _diagram_of(_read_json(in_path))
     _require_monobrick(diagram)
     result = operation(diagram)
     payload = diagram_to_json(result)
@@ -338,9 +351,11 @@ def ncl_command(in_path, out_path):
         raise DataError('input must carry exactly one of "blocks" or "arcs"')
     try:
         if has_blocks:
-            result = diagram_to_json(to_diagram(partition_from_json(payload)))
+            partition = partition_from_json(payload)
+            _cap_query(partition.n, "ground set size")
+            result = diagram_to_json(to_diagram(partition))
         else:
-            result = partition_to_json(from_diagram(diagram_from_json(payload)))
+            result = partition_to_json(from_diagram(_diagram_of(payload)))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     with _sink(out_path) as fh:
@@ -388,7 +403,7 @@ def render_command(in_path, out_path):
 
     Cyclic diagrams are drawn over two copies of the mark circle.
     """
-    diagram = _read_diagram(in_path)
+    diagram = _diagram_of(_read_json(in_path))
     with _sink(out_path) as fh:
         fh.write(render_diagram(diagram) + "\n")
 

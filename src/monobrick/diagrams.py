@@ -6,10 +6,14 @@ which crossing kinds a pair of member arcs may have:
 * monobrick diagrams allow mono-crossing and non-crossing pairs,
 * semibrick diagrams allow non-crossing pairs only,
 * cofinally closed diagrams are the monobrick diagrams fixed by cofinal
-  closure.  They are generated as the cofinal closures of the semibrick
-  diagrams, the paper's semibrick / cofinally-closed bijection; deduplicating
-  the closures keeps the emitted count an independent check that the
-  bijection is injective.
+  closure, so they allow the monobrick pairs.  They are generated as the
+  cofinal closures of the semibrick diagrams, the paper's semibrick /
+  cofinally-closed bijection; deduplicating the closures keeps the emitted
+  count an independent check that the bijection is injective.
+
+:func:`crossing_violation` states that rule pair by pair, and
+:class:`ArcTable` classifies each pair of an algebra's arcs once into the
+monobrick and semibrick compatibility rows.
 
 Enumeration works in arc-index space over one :class:`ArcTable` per algebra:
 a diagram is an ascending tuple of indices into the (start, length)-sorted
@@ -19,8 +23,10 @@ order.  The one search, :func:`iter_index_cliques`, accumulates whatever it
 is given per arc: index tuples by default, and for :func:`json_lines` the
 text of each output line.  :func:`count_diagrams` does not list cliques at
 all; :func:`count_cliques` memoises the count on the candidate mask, which
-many cliques share.  The single-diagram operations in :mod:`monobrick.poset`
-work on :class:`Diagram` objects and never build a table.
+many cliques share, and cofinally closed diagrams are counted as the set of
+closure masks, never decoded or sorted.  The single-diagram queries in
+:mod:`monobrick.poset` work on :class:`Diagram` objects and never build a
+table.
 """
 
 from __future__ import annotations
@@ -53,17 +59,6 @@ class DiagramKind(enum.Enum):
     COFINALLY_CLOSED = "CofinallyClosed"
 
 
-_ALLOWED_CROSSINGS = {
-    DiagramKind.MONOBRICK: frozenset(
-        {Crossing.MONO_CROSSING, Crossing.NON_CROSSING}
-    ),
-    DiagramKind.SEMIBRICK: frozenset({Crossing.NON_CROSSING}),
-    DiagramKind.COFINALLY_CLOSED: frozenset(
-        {Crossing.MONO_CROSSING, Crossing.NON_CROSSING}
-    ),
-}
-
-
 @dataclass(frozen=True)
 class Diagram:
     algebra: Algebra
@@ -78,16 +73,6 @@ class Diagram:
         n = self.algebra.marks
         return sorted(self.arcs, key=lambda a: (a.start, arc_length(a, n)))
 
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def __contains__(self, arc: Arc) -> bool:
-        return arc in self.arcs
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"({a.start},{a.end})" for a in self.sorted_arcs())
-        return f"{self.algebra}:{{{inner}}}"
-
 
 def crossing_violation(
     diagram: Diagram, kind: DiagramKind
@@ -96,7 +81,8 @@ def crossing_violation(
     diagram kind forbids, or None.
 
     Every kind allows plain non-crossing pairs and forbids strictly and
-    epi-crossing ones, so only the reported pair reaches
+    epi-crossing ones; mono-crossing pairs are allowed unless the kind is
+    semibrick.  So only the reported pair reaches
     :func:`crossing_kind`.  In sorted order the first start ``s`` is at most
     the second ``t``.  With unreduced ends ``s + la`` and ``t + lb``, a pair
     with ``s < t`` is plain non-crossing exactly when the second arc ends
@@ -104,7 +90,7 @@ def crossing_violation(
     gap between the first's end and ``s + n``: the closed form of
     :func:`crossing_kind` at offset ``d = t - s > 0``.
     """
-    mono_ok = Crossing.MONO_CROSSING in _ALLOWED_CROSSINGS[kind]
+    mono_ok = kind is not DiagramKind.SEMIBRICK
     n = diagram.algebra.marks
     # (start, start + length) is unique per arc and sorts as sorted_arcs does.
     spans = sorted((a.start, a.start + arc_length(a, n), a) for a in diagram.arcs)
@@ -117,14 +103,6 @@ def crossing_violation(
                 continue
             return a, b, crossing_kind(a, b, n)
     return None
-
-
-def is_monobrick(diagram: Diagram) -> bool:
-    return crossing_violation(diagram, DiagramKind.MONOBRICK) is None
-
-
-def is_semibrick(diagram: Diagram) -> bool:
-    return crossing_violation(diagram, DiagramKind.SEMIBRICK) is None
 
 
 def iter_index_cliques(
@@ -195,13 +173,10 @@ def count_cliques(adjacency: Sequence[int]) -> int:
     return count((1 << len(adjacency)) - 1)
 
 
-def resolve_budget(algebra: Algebra, override: int | None = None) -> int:
-    return DEFAULT_BUDGET[algebra.kind] if override is None else override
-
-
 def check_budget(algebra: Algebra, budget: int | None = None) -> None:
-    """Raise :class:`BudgetExceeded` when the rank of ``algebra`` is over the cap."""
-    limit = resolve_budget(algebra, budget)
+    """Raise :class:`BudgetExceeded` when the rank of ``algebra`` is over the
+    cap: ``budget``, or the family's default when it is None."""
+    limit = DEFAULT_BUDGET[algebra.kind] if budget is None else budget
     if algebra.rank > limit:
         raise BudgetExceeded(
             f"rank {algebra.rank} of {algebra} exceeds enumeration budget {limit}"
@@ -263,19 +238,17 @@ class ArcTable:
     def __init__(self, algebra: Algebra) -> None:
         arcs = tuple(algebra.arcs())
         index = {arc: i for i, arc in enumerate(arcs)}
-        mono_ok = _ALLOWED_CROSSINGS[DiagramKind.MONOBRICK]
-        semi_ok = _ALLOWED_CROSSINGS[DiagramKind.SEMIBRICK]
         mono = [0] * len(arcs)
         semi = [0] * len(arcs)
         for i, a in enumerate(arcs):
             for j in range(i + 1, len(arcs)):
                 found = crossing_kind(a, arcs[j], algebra.marks)
-                if found in mono_ok:
+                if found is Crossing.MONO_CROSSING or found is Crossing.NON_CROSSING:
                     mono[i] |= 1 << j
                     mono[j] |= 1 << i
-                if found in semi_ok:
-                    semi[i] |= 1 << j
-                    semi[j] |= 1 << i
+                    if found is Crossing.NON_CROSSING:
+                        semi[i] |= 1 << j
+                        semi[j] |= 1 << i
         self.algebra = algebra
         self.arcs = arcs
         self.index = index
@@ -306,15 +279,19 @@ class ArcTable:
                 closed |= low
         return closed
 
+    def closed_masks(self) -> set[int]:
+        """Masks of the cofinally closed diagrams: the distinct closures of
+        the semibrick cliques."""
+        return {
+            self.closure(clique)
+            for clique in iter_index_cliques(self.adjacency[DiagramKind.SEMIBRICK])
+        }
+
     def diagrams(self, kind: DiagramKind) -> Iterator[tuple[int, ...]]:
         """Ascending index tuples of every diagram of ``kind``, in lex order."""
         if kind is not DiagramKind.COFINALLY_CLOSED:
             return iter_index_cliques(self.adjacency[kind])
-        closed = {
-            self.closure(clique)
-            for clique in iter_index_cliques(self.adjacency[DiagramKind.SEMIBRICK])
-        }
-        return iter(sorted(map(_bits, closed)))
+        return iter(sorted(map(_bits, self.closed_masks())))
 
 
 @functools.lru_cache(maxsize=16)
@@ -352,7 +329,7 @@ def count_diagrams(
     check_budget(algebra, budget)
     table = arc_table(algebra)
     if kind is DiagramKind.COFINALLY_CLOSED:
-        return sum(1 for _ in table.diagrams(kind))
+        return len(table.closed_masks())
     return count_cliques(table.adjacency[kind])
 
 
@@ -432,21 +409,22 @@ def json_lines(table: ArcTable, kind: DiagramKind) -> Iterator[str]:
     one line each, in :meth:`ArcTable.diagrams` order.
 
     Ascending indices are already the ``sorted_arcs`` order, so no
-    :class:`Diagram` is built.  Monobrick and semibrick lines grow inside
-    the clique search, from the line head and one ``"[start,end],"`` item
-    per arc; each line then has its last comma swapped for the closing
-    ``]}``.  The empty diagram, yielded first, is the head alone.
-    Cofinally closed lines are joined from per-arc fragments.
+    :class:`Diagram` is built.  Each line is the line head and one
+    ``"[start,end],"`` item per arc, with its last comma swapped for the
+    closing ``]}``; the empty diagram, yielded first, is the head alone.
+    Monobrick and semibrick lines grow inside the clique search, cofinally
+    closed ones are joined from the sorted closures.
     """
     algebra = table.algebra
     head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
-    if kind is DiagramKind.COFINALLY_CLOSED:
-        fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
-        for clique in table.diagrams(kind):
-            yield head + ",".join([fragments[i] for i in clique]) + "]}\n"
-        return
     items = [f"[{a.start},{a.end}]," for a in table.arcs]
-    lines = iter_index_cliques(table.adjacency[kind], head, items)
+    if kind is DiagramKind.COFINALLY_CLOSED:
+        lines = (
+            head + "".join([items[i] for i in clique])
+            for clique in table.diagrams(kind)
+        )
+    else:
+        lines = iter_index_cliques(table.adjacency[kind], head, items)
     yield next(lines) + "]}\n"
     for line in lines:
         yield line[:-1] + "]}\n"

@@ -92,20 +92,6 @@ def in_span(vec: Sequence[int], basis: Matrix, pivots: Sequence[int], p: int) ->
     return not any(reduce_vec(vec, basis, pivots, p))
 
 
-def coords_in_span(
-    vec: Sequence[int], basis: Matrix, pivots: Sequence[int], p: int
-) -> Vector:
-    """Coefficients of ``vec`` over an RREF basis; raises if not in the span."""
-    coords = tuple(vec[c] % p for c in pivots)
-    residual = list(vec)
-    for lam, row in zip(coords, basis):
-        if lam:
-            residual = [(a - lam * b) % p for a, b in zip(residual, row)]
-    if any(x % p for x in residual):
-        raise ValueError("vector lies outside the span")
-    return coords
-
-
 def kernel_basis(rows: Matrix, ncols: int, p: int) -> list[Vector]:
     """Basis of {x : x satisfies all homogeneous equations given as rows}.
 

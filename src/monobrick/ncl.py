@@ -137,10 +137,6 @@ def violation(partition: NclPartition) -> str | None:
     return None
 
 
-def is_valid(partition: NclPartition) -> bool:
-    return violation(partition) is None
-
-
 def to_diagram(partition: NclPartition) -> Diagram:
     """Arcs ``(min E, j)`` for every block ``E`` and non-minimal ``j`` of ``E``."""
     problem = violation(partition)

@@ -53,7 +53,6 @@ from typing import NamedTuple
 from monobrick import fp
 from monobrick.arcs import Arc, HomKind, socle_series
 from monobrick.diagrams import iter_index_cliques
-from monobrick.poset import covering_pairs, maximal_elements
 from monobrick.presets import Preset, Rep, direct_sum, get_preset
 
 Member = tuple[str, ...]
@@ -218,12 +217,6 @@ class Oracle:
 
     def _key(self, member: Member) -> tuple[int, ...]:
         return tuple(self._order[n] for n in member)
-
-    def member_from_names(self, names) -> Member:
-        member = tuple(sorted(names, key=self._order.__getitem__))
-        if member not in self.index:
-            raise OracleError(f"{member} lies outside the modelled universe")
-        return member
 
     def rep_of(self, member: Member) -> Rep:
         rep = self._rep_cache.get(member)
@@ -645,16 +638,12 @@ class Oracle:
         return self._census(lambda x, y: self.hom_dim(x, y) == 0)
 
     # ------------------------------------------------------------------
-    # brick poset, maximal elements, closure
-
-    def brick_leq(self, a: Member, b: Member) -> bool:
-        return a == b or a in self.subobjects(b)
+    # maximal elements and closure in the subobject order
 
     def mmax(self, bricks) -> frozenset[Member]:
-        return frozenset(maximal_elements(list(bricks), self.brick_leq))
-
-    def brick_covers(self, bricks) -> frozenset[tuple[Member, Member]]:
-        return frozenset(covering_pairs(list(bricks), self.brick_leq))
+        """The bricks of the set that embed in no other brick of the set."""
+        bricks = frozenset(bricks)
+        return bricks - {a for b in bricks for a in self.subobjects(b) if a != b}
 
     def cofinal_closure(self, bricks) -> frozenset[Member]:
         """Adjoin subobjects that map into every member by zero or a mono."""

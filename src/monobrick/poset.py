@@ -1,51 +1,17 @@
-"""Submodule order on the arcs of a diagram, maxima, and cofinal closure.
+"""The diagram queries: maximal arcs, Hasse covers and cofinal closure.
 
 Arc modules are uniserial: by :func:`monobrick.arcs.hom_kind`, ``a`` embeds in
-``b`` exactly when both share a start and ``a`` is not longer.  So the order
-on a diagram is one chain per start, and the diagram queries read it off those.
+``b`` exactly when both share a start and ``a`` is not longer.  So the
+submodule order on a diagram is one chain per start, and each query reads it
+off those chains, in time linear in the arcs times the rank.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, Sequence, TypeVar
 
-from monobrick.arcs import Algebra, Arc, HomKind, arc_length, hom_kind, reduce_mark
+from monobrick.arcs import Arc, arc_length, reduce_mark
 from monobrick.diagrams import Diagram
-
-T = TypeVar("T")
-
-
-def submodule_leq(a: Arc, b: Arc, algebra: Algebra) -> bool:
-    """True when ``a`` embeds in ``b`` (equality included)."""
-    return hom_kind(a, b, algebra) in (HomKind.INJECTION, HomKind.ISO)
-
-
-def maximal_elements(
-    elements: Sequence[T], leq: Callable[[T, T], bool]
-) -> list[T]:
-    return [
-        a
-        for a in elements
-        if not any(a != b and leq(a, b) for b in elements)
-    ]
-
-
-def covering_pairs(
-    elements: Sequence[T], leq: Callable[[T, T], bool]
-) -> list[tuple[T, T]]:
-    """Hasse edges (lower, upper) of the order restricted to ``elements``."""
-    pairs = []
-    for a in elements:
-        for b in elements:
-            if a == b or not leq(a, b):
-                continue
-            between = any(
-                c != a and c != b and leq(a, c) and leq(c, b) for c in elements
-            )
-            if not between:
-                pairs.append((a, b))
-    return pairs
 
 
 def _chains(diagram: Diagram) -> list[list[Arc]]:

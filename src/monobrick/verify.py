@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from monobrick import poset
 from monobrick.arcs import hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
 from monobrick.oracle import (
@@ -270,7 +271,12 @@ def check_census(oracle: Oracle) -> CheckResult:
 
 
 def check_arc_agreement(oracle: Oracle) -> CheckResult:
-    """The arc combinatorics and the module model must tell the same story."""
+    """The arc combinatorics and the module model must tell the same story.
+
+    Hom kinds agree on every pair of arcs, the three diagram families map
+    onto the model's censuses, and on every monobrick diagram the arc
+    layer's cofinal closure and maximal arcs map onto the model's.
+    """
     algebra = oracle.preset.arc_algebra
     if algebra is None:
         return CheckResult("arc-agreement", False, "preset has no arc model")
@@ -308,6 +314,20 @@ def check_arc_agreement(oracle: Oracle) -> CheckResult:
             problems.append(
                 f"{kind.value} families disagree, e.g. {sample}"
             )
+
+    for diagram in enumerate_diagrams(algebra, DiagramKind.MONOBRICK):
+        mm = frozenset(by_arc[arc] for arc in diagram.arcs)
+        for query, arc_route, model_route in (
+            ("closure", poset.cofinal_closure, oracle.cofinal_closure),
+            ("mmax", poset.mmax, oracle.mmax),
+        ):
+            want = _names(by_arc[arc] for arc in arc_route(diagram).arcs)
+            got = _names(model_route(mm))
+            if want != got:
+                problems.append(
+                    f"{query} of {_fmt(_names(mm))}: arc rule {_fmt(want)}, "
+                    f"model {_fmt(got)}"
+                )
     return _result("arc-agreement", problems)
 
 
@@ -526,11 +546,6 @@ def _applies(check_name: str, oracle: Oracle) -> bool:
     if check_name == "closure-table":
         return oracle.preset.name in CLOSURE_TABLES
     return True
-
-
-def check_names(preset_name: str, p: int = 2) -> list[str]:
-    oracle = get_oracle(preset_name, DEFAULT_DIM_BOUND, p)
-    return [name for name, _ in _CHECKS if _applies(name, oracle)]
 
 
 def run_checks(preset_name: str, p: int = 2) -> list[CheckResult]:

@@ -1,12 +1,27 @@
-"""Socle-series definitions of the arc pair kinds, kept as test references.
+"""Literal definitions of the arc pair kinds and orders, kept as test references.
 
 The package classifies arc pairs by closed forms in start offsets and
 lengths.  These are the definitions those closed forms were derived from,
 written on the socle series themselves: windows, set intersections and
-membership.  Tests compare the two on every pair of small algebras.
+membership.  Tests compare the two on every pair of small algebras.  The
+generic order helpers at the end read maxima and covers off any order
+given as a predicate, the routes the diagram queries' chains replaced.
 """
 
-from monobrick.arcs import Algebra, Arc, Crossing, HomKind, reduce_mark, socle_series
+from typing import Callable, Sequence, TypeVar
+
+from monobrick.arcs import (
+    Algebra,
+    Arc,
+    Crossing,
+    HomKind,
+    hom_kind,
+    reduce_mark,
+    socle_series,
+)
+from monobrick.diagrams import Diagram, DiagramKind
+
+T = TypeVar("T")
 
 
 def _is_window(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
@@ -41,3 +56,51 @@ def literal_hom_kind(a: Arc, b: Arc, algebra: Algebra) -> HomKind:
             return HomKind.INJECTION
         return HomKind.NONZERO_NON_INJECTION
     return HomKind.ZERO
+
+
+def literal_violation(diagram: Diagram, kind: DiagramKind):
+    """First forbidden pair by the socle-series definition, all pairs scanned."""
+    allowed = {Crossing.NON_CROSSING}
+    if kind is not DiagramKind.SEMIBRICK:
+        allowed.add(Crossing.MONO_CROSSING)
+    arcs = diagram.sorted_arcs()
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            found = literal_crossing_kind(a, b, diagram.algebra.marks)
+            if found not in allowed:
+                return a, b, found
+    return None
+
+
+def is_monobrick(diagram: Diagram) -> bool:
+    return literal_violation(diagram, DiagramKind.MONOBRICK) is None
+
+
+def is_semibrick(diagram: Diagram) -> bool:
+    return literal_violation(diagram, DiagramKind.SEMIBRICK) is None
+
+
+def submodule_leq(a: Arc, b: Arc, algebra: Algebra) -> bool:
+    """True when ``a`` embeds in ``b`` (equality included)."""
+    return hom_kind(a, b, algebra) in (HomKind.INJECTION, HomKind.ISO)
+
+
+def maximal_elements(elements: Sequence[T], leq: Callable[[T, T], bool]) -> list[T]:
+    return [a for a in elements if not any(a != b and leq(a, b) for b in elements)]
+
+
+def covering_pairs(
+    elements: Sequence[T], leq: Callable[[T, T], bool]
+) -> list[tuple[T, T]]:
+    """Hasse edges (lower, upper) of the order restricted to ``elements``."""
+    pairs = []
+    for a in elements:
+        for b in elements:
+            if a == b or not leq(a, b):
+                continue
+            between = any(
+                c != a and c != b and leq(a, c) and leq(c, b) for c in elements
+            )
+            if not between:
+                pairs.append((a, b))
+    return pairs

@@ -4,10 +4,24 @@ The package keys each arrow table by classes of subspaces and computes one
 entry per pair of classes.  This is the entry it was derived from, computed
 for one pair of subspaces on its own: test that the matrix maps the source
 subspace into the target one, then read off the sub block and the quotient
-block.  Tests compare the two on every pair of subspaces.
+block.  Tests compare the two on every pair of subspaces.  The sub block
+and the brute-force subquotients read coordinates over an RREF basis with
+:func:`coords_in_span`, which the package itself never needs.
 """
 
 from monobrick import fp
+
+
+def coords_in_span(vec, basis, pivots, p):
+    """Coefficients of ``vec`` over an RREF basis; raises if not in the span."""
+    coords = tuple(vec[c] % p for c in pivots)
+    residual = list(vec)
+    for lam, row in zip(coords, basis):
+        if lam:
+            residual = [(a - lam * b) % p for a, b in zip(residual, row)]
+    if any(x % p for x in residual):
+        raise ValueError("vector lies outside the span")
+    return coords
 
 
 def literal_entry(mat, source, target, p):
@@ -26,7 +40,7 @@ def literal_entry(mat, source, target, p):
     images = [fp.vec_mat(u, mat, p) for u in basis_s]
     if not all(fp.in_span(im, basis_t, pivots_t, p) for im in images):
         return None
-    sub = tuple(fp.coords_in_span(im, basis_t, pivots_t, p) for im in images)
+    sub = tuple(coords_in_span(im, basis_t, pivots_t, p) for im in images)
     free_s = [c for c in range(d_s) if c not in pivots_s]
     free_t = [c for c in range(d_t) if c not in pivots_t]
     quot = tuple(

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import monobrick
-from monobrick import cli, diagrams, presets
+from monobrick import cli, diagrams, poset, presets
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import EXPECTED_COUNTS, CheckResult
@@ -366,6 +366,61 @@ def test_single_diagram_queries_build_no_arc_table(runner):
     assert arc_table.cache_info().currsize == 0
 
 
+CAP = cli.QUERY_RANK_CAP
+
+
+def _refuse(*args):
+    raise AssertionError("an over-cap query reached its work")
+
+
+def _wide(rank):
+    return json.dumps({"n": rank, "algebra": "B", "arcs": [[1, 1]]})
+
+
+@pytest.mark.parametrize(
+    ("command", "work"),
+    [
+        ("closure", (poset, "cofinal_closure")),
+        ("mmax", (poset, "mmax")),
+        ("render", (cli, "render_diagram")),
+    ],
+)
+def test_diagram_queries_take_the_cap_and_refuse_one_more(
+    runner, monkeypatch, command, work
+):
+    at_cap = invoke(runner, [command], input=_wide(CAP))
+    assert at_cap.exit_code == 0
+    assert at_cap.stdout
+    monkeypatch.setattr(*work, _refuse)
+    over = runner.invoke(cli.main, [command], input=_wide(CAP + 1))
+    assert over.exit_code == 3, over.exception
+    assert over.stdout == ""
+    assert f"rank {CAP + 1} exceeds the query cap {CAP}" in over.stderr
+
+
+def test_ncl_takes_the_cap_and_refuses_one_more(runner, monkeypatch):
+    block = json.dumps({"n": CAP, "blocks": [list(range(1, CAP + 1))]})
+    result = invoke(runner, ["ncl"], input=block)
+    assert result.exit_code == 0
+    assert len(json.loads(result.stdout)["arcs"]) == CAP - 1
+    empty = json.dumps({"n": CAP, "algebra": "A", "arcs": []})
+    result = invoke(runner, ["ncl"], input=empty)
+    assert result.exit_code == 0
+    assert len(json.loads(result.stdout)["blocks"]) == CAP + 1
+
+    monkeypatch.setattr(cli, "to_diagram", _refuse)
+    monkeypatch.setattr(cli, "from_diagram", _refuse)
+    over = json.dumps({"n": CAP + 1, "blocks": [[1]]})
+    result = runner.invoke(cli.main, ["ncl"], input=over)
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert f"ground set size {CAP + 1} exceeds the query cap" in result.stderr
+    over = json.dumps({"n": CAP + 1, "algebra": "A", "arcs": []})
+    result = runner.invoke(cli.main, ["ncl"], input=over)
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "payload",
     ["[" * 100_000, '{"n":' + "1" * 5_000 + "}"],
@@ -378,9 +433,10 @@ def test_unreadable_json_exits_4(runner, command, payload):
     assert "input JSON cannot be read" in result.stderr
 
 
-# Integers stay small: the query commands have no rank cap yet, and their
-# work and output grow with the rank.
+# Arc ends and marks stay small; ranks are small or past the query cap, which
+# must refuse them before any work.
 _SMALL = st.integers(min_value=-2, max_value=12)
+_RANKS = _SMALL | st.integers(min_value=CAP + 1, max_value=10**12)
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -392,18 +448,18 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _DIAGRAMS = st.fixed_dictionaries({
-    "n": st.integers(min_value=0, max_value=12),
+    "n": _RANKS,
     "algebra": st.sampled_from(["A", "B"]),
     "arcs": st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=5),
 })
 _PARTITIONS = st.fixed_dictionaries({
-    "n": st.integers(min_value=1, max_value=12),
+    "n": _RANKS,
     "blocks": st.lists(st.lists(_SMALL, min_size=1, max_size=4), max_size=6),
 })
 _PAYLOADS = st.fixed_dictionaries(
     {},
     optional={
-        "n": _SMALL | _JSON,
+        "n": _RANKS | _JSON,
         "algebra": st.sampled_from(["A", "B", "C"]) | _JSON,
         "arcs": st.lists(st.lists(_SMALL, max_size=3), max_size=6) | _JSON,
         "blocks": st.lists(st.lists(_SMALL, max_size=4), max_size=5) | _JSON,
@@ -607,8 +663,10 @@ def test_commands_load_only_their_layers(args, layers):
 
 def test_cli_and_verify_load_every_traced_module():
     # perfbench/traced_cli.py imports monobrick.cli and monobrick.verify, then
-    # looks up each module its TARGETS name in sys.modules; a lazier import
-    # must not leave one of them unloaded.
+    # patches each TARGETS entry by its module in sys.modules and its
+    # attribute path.  A lazier import must not leave a module unloaded, and
+    # a deleted or moved name must not go unnoticed: each unresolved entry
+    # is printed before the tracer is installed.
     traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
     script = (
         "import importlib.util, sys\n"
@@ -616,13 +674,17 @@ def test_cli_and_verify_load_every_traced_module():
         "traced = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(traced)\n"
         "import monobrick.cli, monobrick.verify\n"
-        "wanted = {'monobrick.' + target[1] for target in traced.TARGETS}\n"
-        "print(*sorted(wanted - set(sys.modules)))\n"
+        "for _, module, path, _ in traced.TARGETS:\n"
+        "    owner = sys.modules.get('monobrick.' + module)\n"
+        "    for part in path.split('.'):\n"
+        "        owner = getattr(owner, part, None)\n"
+        "    if owner is None:\n"
+        "        print(module + '.' + path)\n"
         "traced.Tracer().install()\n"
     )
     proc = run_module("-c", script)
-    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_preset_choices_are_the_verified_presets():

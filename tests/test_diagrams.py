@@ -20,14 +20,18 @@ from monobrick.diagrams import (
     diagram_from_json,
     diagram_to_json,
     enumerate_diagrams,
-    is_monobrick,
-    is_semibrick,
     iter_index_cliques,
     json_lines,
     schroder,
 )
 from monobrick.poset import cofinal_closure, is_cofinally_closed
-from literal_arcs import literal_crossing_kind, literal_hom_kind
+from literal_arcs import (
+    is_monobrick,
+    is_semibrick,
+    literal_crossing_kind,
+    literal_hom_kind,
+    literal_violation,
+)
 
 A3 = Algebra.linear_a(3)
 B2 = Algebra.cyclic_b(2)
@@ -133,11 +137,15 @@ STREAM_ALGEBRAS = [Algebra.linear_a(r) for r in range(11)] + [
 
 @pytest.mark.parametrize("algebra", STREAM_ALGEBRAS, ids=str)
 def test_clique_count_is_the_length_of_the_clique_stream(algebra):
-    # The memoised count skips listing; the stream lists every clique.
+    # The memoised count skips listing, and the cofinally closed count skips
+    # decoding and sorting the closures; the streams list every diagram.
     table = arc_table(algebra)
     for kind in (DiagramKind.MONOBRICK, DiagramKind.SEMIBRICK):
         listed = sum(1 for _ in iter_index_cliques(table.adjacency[kind]))
         assert count_diagrams(algebra, kind) == listed, kind
+    kind = DiagramKind.COFINALLY_CLOSED
+    listed = sum(1 for _ in table.diagrams(kind))
+    assert count_diagrams(algebra, kind) == listed
 
 
 @st.composite
@@ -351,20 +359,6 @@ def test_arc_table_masks_match_literal_kinds(family):
         assert table.adjacency[DiagramKind.SEMIBRICK] == tuple(semi), algebra
         assert table.prefixes == tuple(prefixes), algebra
         assert table.bad == tuple(bad), algebra
-
-
-def literal_violation(diagram, kind):
-    """First forbidden pair by the socle-series definition, all pairs scanned."""
-    allowed = {Crossing.NON_CROSSING}
-    if kind is not DiagramKind.SEMIBRICK:
-        allowed.add(Crossing.MONO_CROSSING)
-    arcs = diagram.sorted_arcs()
-    for i, a in enumerate(arcs):
-        for b in arcs[i + 1 :]:
-            found = literal_crossing_kind(a, b, diagram.algebra.marks)
-            if found not in allowed:
-                return a, b, found
-    return None
 
 
 @pytest.mark.parametrize("family", ["A", "B"])

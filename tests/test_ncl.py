@@ -12,7 +12,6 @@ from monobrick.ncl import (
     count_partitions,
     enumerate_partitions,
     from_diagram,
-    is_valid,
     partition_from_json,
     partition_to_json,
     to_diagram,
@@ -29,9 +28,8 @@ def D(rank, *arcs):
 
 
 def test_validate_examples():
-    assert is_valid(P(4, {1, 2, 4}, {2, 3}))
-    assert is_valid(P(3, {1}, {2}, {3}))
-    assert not is_valid(P(4, {1, 3}, {2, 4}))
+    assert violation(P(4, {1, 2, 4}, {2, 3})) is None
+    assert violation(P(3, {1}, {2}, {3})) is None
     assert violation(P(4, {1, 3}, {2, 4})).startswith("NCL2")
 
 
@@ -46,7 +44,7 @@ def test_violation_messages_name_the_condition():
 
 
 def test_shared_mark_as_second_minimum_is_fine():
-    assert is_valid(P(3, {1, 2}, {2, 3}))
+    assert violation(P(3, {1, 2}, {2, 3})) is None
 
 
 def test_malformed_partitions_rejected():

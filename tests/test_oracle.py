@@ -69,13 +69,6 @@ def test_unknown_preset_and_bad_field():
         get_preset("nak2", 7)
 
 
-def test_member_lookup_sorts_names():
-    oracle = get_oracle("a3_linear")
-    assert oracle.member_from_names(["2/1", "1"]) == ("1", "2/1")
-    with pytest.raises(OracleError, match="outside"):
-        oracle.member_from_names(["1"] * 7)
-
-
 def test_zero_member_is_first():
     for name in ALL:
         assert get_oracle(name).members[0] == ZERO
@@ -558,15 +551,6 @@ def test_mmax_drops_embedded_bricks():
     oracle = get_oracle("a3_linear")
     mm = oracle.mmax([("1",), ("2",), ("3/2/1",)])
     assert mm == {("2",), ("3/2/1",)}
-
-
-def test_brick_covers_on_a_chain():
-    oracle = get_oracle("a3_linear")
-    chain = [("1",), ("2/1",), ("3/2/1",)]
-    assert oracle.brick_covers(chain) == {
-        (("1",), ("2/1",)),
-        (("2/1",), ("3/2/1",)),
-    }
 
 
 def test_cofinal_closure_adds_the_missing_socle():

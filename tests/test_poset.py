@@ -7,15 +7,13 @@ from monobrick.diagrams import (
     DiagramKind,
     crossing_violation,
     enumerate_diagrams,
-    is_semibrick,
 )
-from monobrick.poset import (
-    cofinal_closure,
+from monobrick.poset import cofinal_closure, hasse_covers, is_cofinally_closed, mmax
+from literal_arcs import (
     covering_pairs,
-    hasse_covers,
-    is_cofinally_closed,
+    is_monobrick,
+    is_semibrick,
     maximal_elements,
-    mmax,
     submodule_leq,
 )
 
@@ -89,8 +87,6 @@ def test_cofinal_extension_examples():
 
 @pytest.mark.parametrize("algebra", [A3, B3])
 def test_closure_properties_exhaustive(algebra):
-    from monobrick.diagrams import is_monobrick
-
     for diagram in all_monobricks(algebra):
         closed = cofinal_closure(diagram)
         assert diagram.arcs <= closed.arcs

@@ -14,7 +14,7 @@ from array import array
 from functools import lru_cache
 
 import pytest
-from literal_tables import literal_entry
+from literal_tables import coords_in_span, literal_entry
 
 from monobrick import fp
 from monobrick.oracle import _UNSTABLE, ZERO, Oracle
@@ -45,7 +45,7 @@ def _sub_rep(arrows, p, rep, spaces):
     for a, (s, t) in enumerate(arrows):
         basis_t, pivots_t = spaces[t]
         mats.append(tuple(
-            fp.coords_in_span(fp.vec_mat(u, rep.mats[a], p), basis_t, pivots_t, p)
+            coords_in_span(fp.vec_mat(u, rep.mats[a], p), basis_t, pivots_t, p)
             for u in spaces[s][0]
         ))
     return Rep(dims, tuple(mats))

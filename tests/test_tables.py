@@ -11,12 +11,12 @@ from functools import lru_cache
 
 import pytest
 
-from monobrick.oracle import get_oracle
+from monobrick.oracle import Oracle, get_oracle
 from monobrick.verify import (
     CLOSURE_TABLES,
     EXPECTED_COUNTS,
     SERIAL_PRESETS,
-    check_names,
+    check_arc_agreement,
     closure_row_problems,
     run_checks,
 )
@@ -38,15 +38,16 @@ def test_closure_row(preset, row):
     assert problems == []
 
 
-def _check_cases():
-    for preset in PRESETS:
-        for name in check_names(preset):
-            yield pytest.param(preset, name, id=f"{preset}:{name}")
-
-
 @lru_cache(maxsize=None)
 def _results(preset):
+    """The applicable checks of a preset by name, in registry order."""
     return {r.name: r for r in run_checks(preset)}
+
+
+def _check_cases():
+    for preset in PRESETS:
+        for name in _results(preset):
+            yield pytest.param(preset, name, id=f"{preset}:{name}")
 
 
 @pytest.mark.parametrize(("preset", "name"), tuple(_check_cases()))
@@ -59,11 +60,27 @@ def test_check_applicability():
     # a3_source has no arc model, and only three presets carry a
     # hand-checked closure table.
     for preset in PRESETS:
-        names = check_names(preset)
+        names = list(_results(preset))
         assert ("arc-agreement" in names) == (preset != "a3_source")
         assert ("closure-table" in names) == (preset in CLOSURE_TABLES)
         assert names[0] == "universe-size"
         assert names[-1] == "left-schur-closure"
+
+
+@pytest.mark.parametrize(
+    ("method", "mismatch"),
+    [
+        ("mmax", "mmax of {1, 2/1}: arc rule {2/1}, model {1, 2/1}"),
+        ("cofinal_closure", "closure of {2/1}: arc rule {1, 2/1}, model {2/1}"),
+    ],
+)
+def test_arc_agreement_reports_both_sides_of_a_query(monkeypatch, method, mismatch):
+    # A model query that returns its input breaks agreement with the arc
+    # layer on a chain of A2: the detail names the diagram and both answers.
+    monkeypatch.setattr(Oracle, method, lambda self, bricks: frozenset(bricks))
+    result = check_arc_agreement(get_oracle("a2_linear"))
+    assert not result.passed
+    assert mismatch in result.detail.split("; ")
 
 
 def test_serial_presets_cover_everything_but_the_source():
