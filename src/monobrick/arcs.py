@@ -163,10 +163,10 @@ def hom_kind(a: Arc, b: Arc, algebra: Algebra) -> HomKind:
     ``(b.start - a.start) mod n`` below the length of ``a``) and the last mark
     of ``a``, ``a.end - 1``, on the series of ``b``.  The hom space is at most
     1-dimensional, and the map is injective precisely when nothing of ``a`` is
-    quotiented away, i.e. the starts agree.
+    quotiented away, i.e. the starts agree.  Like :func:`crossing_kind` it
+    does not validate: its arcs come from :meth:`Algebra.arcs` or a
+    validated :class:`~monobrick.diagrams.Diagram`.
     """
-    algebra.check_arc(a)
-    algebra.check_arc(b)
     if a == b:
         return HomKind.ISO
     n = algebra.marks

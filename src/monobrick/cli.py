@@ -104,22 +104,42 @@ def _make_algebra(family: str, n: int) -> Algebra:
         raise click.UsageError(str(exc)) from exc
 
 
-def _budget_override(family: str, flag: str | None) -> int | None:
-    """--budget, else MONOBRICK_BUDGET_<family>, in ASCII digits only: plain
-    ``int()`` also takes underscores, signs, spaces and non-ASCII digits."""
-    name, raw = "--budget", flag
-    if raw is None:
-        name = f"MONOBRICK_BUDGET_{family}"
-        raw = os.environ.get(name)
-        if raw is None:
-            return None
+class _Digits(click.ParamType):
+    """An integer of at least ``minimum`` in ASCII digits only: click's ``int``
+    type also takes underscores, signs, spaces and non-ASCII digits."""
+
+    name = "integer"
+
+    def __init__(self, minimum: int) -> None:
+        self.minimum = minimum
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):  # a default
+            return value
+        try:
+            number = int(value) if value.isascii() and value.isdigit() else -1
+        except ValueError:  # more digits than the interpreter converts
+            number = -1
+        if number < self.minimum:
+            message = f"must be an integer of at least {self.minimum} in ASCII digits"
+            self.fail(f"{message}, got {value!r}", param, ctx)
+        return number
+
+
+_RANK = _Digits(0)
+_BUDGET = _Digits(1)
+
+
+def _budget_override(family: str, flag: int | None) -> int | None:
+    """--budget, else MONOBRICK_BUDGET_<family>, else None."""
+    name = f"MONOBRICK_BUDGET_{family}"
+    raw = os.environ.get(name)
+    if flag is not None or raw is None:
+        return flag
     try:
-        value = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than the interpreter converts
-        value = 0
-    if value < 1:
-        raise click.UsageError(f"{name} must be a positive integer, got {raw!r}")
-    return value
+        return _BUDGET.convert(raw, None, None)
+    except click.BadParameter as exc:
+        raise click.UsageError(f"{name} {exc.message}") from exc
 
 
 def _read_json(in_path):
@@ -188,9 +208,9 @@ def main() -> None:
 @main.command("enumerate")
 @click.option("--algebra", "family", type=_FAMILY_CHOICE, required=True,
               help="Arc family: A (linear) or B (cyclic).")
-@click.option("--n", "rank", type=int, required=True, help="Rank of the family.")
+@click.option("--n", "rank", type=_RANK, required=True, help="Rank of the family.")
 @click.option("--kind", type=_KIND_CHOICE, default="monobrick", show_default=True)
-@click.option("--budget", metavar="INTEGER", default=None,
+@click.option("--budget", type=_BUDGET, default=None,
               help="Rank cap override (default 10 for A, 7 for B; also via "
                    "MONOBRICK_BUDGET_A / MONOBRICK_BUDGET_B).")
 @_OUT_OPTION
@@ -214,18 +234,12 @@ def enumerate_command(family, rank, kind, budget, out_path):
         fh.write(_dumps({"count": total}) + "\n")
 
 
-def _format_flag(value) -> str:
-    if value is None:
-        return "-"
-    return "true" if value else "false"
-
-
 @main.command("count")
 @click.option("--algebra", "family", type=_FAMILY_CHOICE, required=True)
-@click.option("--n-max", type=int, required=True, help="Largest rank to count.")
-@click.option("--n-min", type=int, default=1, show_default=True)
+@click.option("--n-max", type=_RANK, required=True, help="Largest rank to count.")
+@click.option("--n-min", type=_RANK, default=1, show_default=True)
 @click.option("--kind", type=_KIND_CHOICE, default="monobrick", show_default=True)
-@click.option("--budget", metavar="INTEGER", default=None,
+@click.option("--budget", type=_BUDGET, default=None,
               help="Rank cap override, as for enumerate.")
 @click.option("--format", "fmt", type=click.Choice(["markdown", "csv", "json"]),
               default="markdown", show_default=True)
@@ -265,27 +279,17 @@ def count_command(family, n_max, n_min, kind, budget, fmt, out_path):
 
     with _sink(out_path) as fh:
         if fmt == "json":
-            for rank, enumerated, closed, recurrence_ok in rows:
-                fh.write(_dumps({
-                    "n": rank,
-                    "enumerated": enumerated,
-                    "closed_form": closed,
-                    "recurrence_ok": recurrence_ok,
-                }) + "\n")
-        elif fmt == "csv":
-            fh.write("n,enumerated,closed-form,recurrence-ok\n")
-            for rank, enumerated, closed, recurrence_ok in rows:
-                fh.write(
-                    f"{rank},{enumerated},{closed},{_format_flag(recurrence_ok)}\n"
-                )
-        else:
-            fh.write("| n | enumerated | closed-form | recurrence-ok |\n")
-            fh.write("| --- | --- | --- | --- |\n")
-            for rank, enumerated, closed, recurrence_ok in rows:
-                fh.write(
-                    f"| {rank} | {enumerated} | {closed} "
-                    f"| {_format_flag(recurrence_ok)} |\n"
-                )
+            keys = ("n", "enumerated", "closed_form", "recurrence_ok")
+            fh.writelines(_dumps(dict(zip(keys, row))) + "\n" for row in rows)
+            return
+        flags = {None: "-", True: "true", False: "false"}
+        table = [["n", "enumerated", "closed-form", "recurrence-ok"]]
+        if fmt == "markdown":
+            table.append(["---"] * 4)
+        table += [[str(r), str(e), str(c), flags[ok]] for r, e, c, ok in rows]
+        for cells in table:
+            line = ",".join(cells) if fmt == "csv" else f"| {' | '.join(cells)} |"
+            fh.write(line + "\n")
 
 
 def _hasse_payload(diagram: Diagram) -> list:

@@ -12,8 +12,8 @@ which crossing kinds a pair of member arcs may have:
   count an independent check that the bijection is injective.
 
 :func:`crossing_violation` states that rule pair by pair, and
-:class:`ArcTable` classifies each pair of an algebra's arcs once into the
-monobrick and semibrick compatibility rows.
+:class:`ArcTable` reads the same rules off maps, one :func:`hom_kind` call
+per ordered pair of an algebra's arcs.
 
 Enumeration works in arc-index space over one :class:`ArcTable` per algebra:
 a diagram is an ascending tuple of indices into the (start, length)-sorted
@@ -41,9 +41,10 @@ from monobrick.arcs import (
     Algebra,
     Arc,
     Crossing,
+    HomKind,
     arc_length,
     crossing_kind,
-    reduce_mark,
+    hom_kind,
 )
 
 DEFAULT_BUDGET = {"A": 10, "B": 7}
@@ -88,7 +89,8 @@ def crossing_violation(
     with ``s < t`` is plain non-crossing exactly when the second arc ends
     before the first does, wraps around past the first's end, or fits in the
     gap between the first's end and ``s + n``: the closed form of
-    :func:`crossing_kind` at offset ``d = t - s > 0``.
+    :func:`crossing_kind` at offset ``d = t - s > 0``, inlined because a
+    call per pair is ten times slower on thousands of arcs.
     """
     mono_ok = kind is not DiagramKind.SEMIBRICK
     n = diagram.algebra.marks
@@ -193,70 +195,42 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _submodule_masks(
-    arcs: Sequence[Arc], index: dict[Arc, int], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ``prefixes`` and ``bad`` masks of :class:`ArcTable`, closed form.
-
-    The submodules of an arc are the arcs at its start that are not longer,
-    a run of consecutive indices ending at its own.  A nonzero non-injection
-    from ``p`` of length ``k`` at start ``s`` reaches exactly the arcs ``m``
-    at offset ``d = (m.start - s) mod n`` with ``0 < d < k <= d + len(m)``
-    (:func:`monobrick.arcs.hom_kind`): at start ``s + d``, the arcs at least
-    as long as the one that ends where ``p`` ends, a run of consecutive
-    indices up to the last arc at that start.
-    """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, arc in enumerate(arcs):
-        first.setdefault(arc.start, i)
-        last[arc.start] = i
-    prefixes = []
-    bad = []
-    for i, p in enumerate(arcs):
-        prefixes.append((1 << (i + 1)) - (1 << first[p.start]))
-        mask = 0
-        for d in range(1, arc_length(p, n)):
-            t = reduce_mark(p.start + d, n)
-            mask |= (1 << (last[t] + 1)) - (1 << index[Arc(t, p.end)])
-        bad.append(mask)
-    return tuple(prefixes), tuple(bad)
-
-
 class ArcTable:
     """Index-space view of one algebra's arcs, built once for enumeration.
 
     ``arcs`` are in (start, length) order, ``index`` maps each arc to its
-    position, and bit ``i`` of every mask stands for ``arcs[i]``.
-    ``adjacency`` holds the compatibility rows of the monobrick and the
-    semibrick kinds.  ``prefixes[p]`` marks the submodule arcs of arc ``p``
-    (``p`` included) and ``bad[p]`` the arcs ``m`` with
-    ``hom_kind(arcs[p], m) == NONZERO_NON_INJECTION``, both from the
-    closed form of :func:`_submodule_masks`.
+    position, and bit ``i`` of every mask stands for ``arcs[i]``.  All masks
+    come from one :func:`hom_kind` call per ordered pair: ``adjacency``
+    holds the monobrick rows (nonzero maps either way are injective) and
+    the semibrick rows (all maps either way are zero), ``prefixes[p]`` the
+    submodules of arc ``p`` (``p`` included) and ``bad[p]`` the targets of
+    its nonzero non-injections.
     """
 
     def __init__(self, algebra: Algebra) -> None:
         arcs = tuple(algebra.arcs())
-        index = {arc: i for i, arc in enumerate(arcs)}
-        mono = [0] * len(arcs)
-        semi = [0] * len(arcs)
+        # Bit j of out[k][i] / into[k][i]: arcs[i] -> arcs[j] /
+        # arcs[j] -> arcs[i] has kind k.
+        out = {k: [0] * len(arcs) for k in HomKind}
+        into = {k: [0] * len(arcs) for k in HomKind}
         for i, a in enumerate(arcs):
-            for j in range(i + 1, len(arcs)):
-                found = crossing_kind(a, arcs[j], algebra.marks)
-                if found is Crossing.MONO_CROSSING or found is Crossing.NON_CROSSING:
-                    mono[i] |= 1 << j
-                    mono[j] |= 1 << i
-                    if found is Crossing.NON_CROSSING:
-                        semi[i] |= 1 << j
-                        semi[j] |= 1 << i
+            for j, b in enumerate(arcs):
+                found = hom_kind(a, b, algebra)
+                out[found][i] |= 1 << j
+                into[found][j] |= 1 << i
+        zero, injection = HomKind.ZERO, HomKind.INJECTION
         self.algebra = algebra
         self.arcs = arcs
-        self.index = index
+        self.index = {arc: i for i, arc in enumerate(arcs)}
         self.adjacency = {
-            DiagramKind.MONOBRICK: tuple(mono),
-            DiagramKind.SEMIBRICK: tuple(semi),
+            DiagramKind.MONOBRICK: tuple(
+                (out[zero][i] | out[injection][i]) & (into[zero][i] | into[injection][i])
+                for i in range(len(arcs))
+            ),
+            DiagramKind.SEMIBRICK: tuple(x & y for x, y in zip(out[zero], into[zero])),
         }
-        self.prefixes, self.bad = _submodule_masks(arcs, index, algebra.marks)
+        self.prefixes = tuple(x | y for x, y in zip(into[injection], into[HomKind.ISO]))
+        self.bad = tuple(out[HomKind.NONZERO_NON_INJECTION])
 
     def closure(self, indices: Iterable[int]) -> int:
         """Mask of the cofinal closure of the arcs at ``indices``.

@@ -312,11 +312,11 @@ class Oracle:
             self._hom_basis_cache[(x, y)] = cached
         return list(cached)
 
-    def _expand(self, basis, x_dims, y_dims, include_zero: bool):
-        """Yield the combination of ``basis`` for every coefficient vector."""
+    def _expand(self, basis, x_dims, y_dims):
+        """Yield the combination of ``basis`` for every nonzero coefficient vector."""
         p = self.p
         for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not include_zero and not any(coeffs):
+            if not any(coeffs):
                 continue
             yield tuple(
                 tuple(
@@ -329,14 +329,14 @@ class Oracle:
                 for v in range(len(x_dims))
             )
 
-    def hom_elements(self, x: Member, y: Member, include_zero: bool = False):
-        """Yield every (or every nonzero) hom element as per-vertex matrices."""
+    def hom_elements(self, x: Member, y: Member):
+        """Yield every nonzero hom element as per-vertex matrices."""
         basis = self.hom_basis(x, y)
         if self.p ** len(basis) > _ELEMENT_BUDGET:
             raise OracleError(
                 f"hom space of dimension {len(basis)} is too large to iterate"
             )
-        yield from self._expand(basis, self.dims_of(x), self.dims_of(y), include_zero)
+        yield from self._expand(basis, self.dims_of(x), self.dims_of(y))
 
     # ------------------------------------------------------------------
     # identification
@@ -393,7 +393,7 @@ class Oracle:
         basis = self._hom_basis_reps(rep, target)
         if self.p ** len(basis) > _ELEMENT_BUDGET:
             raise OracleError("hom space too large for the exhaustive audit")
-        for element in self._expand(basis, rep.dims, target.dims, False):
+        for element in self._expand(basis, rep.dims, target.dims):
             if element_is_invertible(element, rep.dims, target.dims, self.p):
                 return
         raise OracleError(f"no isomorphism onto {member} exists")

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
@@ -155,6 +156,37 @@ def test_budget_override_accepts_plain_digits(runner):
         cli.main, ["count", "--algebra", "B", "--n-max", "3", "--budget", "2"]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "raw", ["1_0", " 3", "+3", "\uff13", "3.0", pytest.param("9" * 5000, id="5000-digits")]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enumerate", "--algebra", "A", "--n"],
+        ["count", "--algebra", "A", "--n-max"],
+        ["count", "--algebra", "A", "--n-max", "3", "--n-min"],
+        ["count", "--algebra", "A", "--n-max", "3", "--budget"],
+    ],
+    ids=["enumerate-n", "count-n-max", "count-n-min", "count-budget"],
+)
+def test_integer_options_take_ascii_digits_only(runner, command, raw):
+    # int() would read the first four as 10, 3, 3 and 3 (a fullwidth digit)
+    result = runner.invoke(cli.main, command + [raw])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_no_option_uses_the_plain_int_type():
+    def params(command):
+        yield from command.params
+        for sub in getattr(command, "commands", {}).values():
+            yield from params(sub)
+
+    found = list(params(cli.main))
+    assert any(isinstance(p.type, cli._Digits) for p in found)
+    assert not [p.name for p in found if isinstance(p.type, click.types.IntParamType)]
 
 
 def test_enumerate_usage_errors(runner):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, islice
 
 import pytest
@@ -385,3 +386,21 @@ def random_arc_sets(draw):
 @given(random_arc_sets(), st.sampled_from(list(DiagramKind)))
 def test_crossing_violation_reports_the_first_bad_pair(diagram, kind):
     assert crossing_violation(diagram, kind) == literal_violation(diagram, kind)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        # 3,000 nested arcs: distinct starts, every pair plain non-crossing.
+        Diagram(Algebra.linear_a(6000), {Arc(i, 6002 - i) for i in range(1, 3001)}),
+        # 3,000 arcs at one start: every pair mono-crossing.
+        Diagram(Algebra.cyclic_b(10000), {Arc(1, j) for j in range(2, 3002)}),
+    ],
+    ids=["nested-A6000", "same-start-B10000"],
+)
+def test_crossing_violation_scans_large_query_diagrams_quickly(diagram):
+    # The inline span test takes about 0.2 s on each; a crossing_kind call on
+    # each of the 4.5 million pairs takes several seconds.
+    began = time.perf_counter()
+    assert crossing_violation(diagram, DiagramKind.MONOBRICK) is None
+    assert time.perf_counter() - began < 1.5
