@@ -19,12 +19,13 @@ Enumeration works in arc-index space over one :class:`ArcTable` per algebra:
 a diagram is an ascending tuple of indices into the (start, length)-sorted
 arcs, found by clique search over a compatibility graph and emitted in lex
 order, so output order is deterministic and independent of set iteration
-order.  The one search, :func:`iter_index_cliques`, accumulates whatever it
-is given per arc: index tuples by default, and for :func:`json_lines` the
-text of each output line.  :func:`count_diagrams` does not list cliques at
-all; :func:`count_cliques` memoises the count on the candidate mask, which
-many cliques share, and cofinally closed diagrams are counted as the set of
-closure masks, never decoded or sorted.  The single-diagram queries in
+order.  :func:`iter_index_cliques` lists the cliques as index tuples.  One
+count, memoised on the candidate mask that many search nodes share, serves
+both :func:`count_cliques` and :func:`clique_lines`, which writes the
+``enumerate`` text of a whole small subtree from one template per mask
+instead of a line at a time.  :func:`count_diagrams` lists no clique, and
+cofinally closed diagrams are counted as the set of closure masks, never
+decoded or sorted.  The single-diagram queries in
 :mod:`monobrick.poset` work on :class:`Diagram` objects and never build a
 table.
 """
@@ -35,7 +36,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from monobrick.arcs import (
     Algebra,
@@ -107,29 +108,20 @@ def crossing_violation(
     return None
 
 
-def iter_index_cliques(
-    adjacency: Sequence[int], root=(), items: Sequence | None = None
-) -> Iterator:
-    """All cliques of a graph given as bitmask adjacency rows, lex order.
+def iter_index_cliques(adjacency: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All cliques of a graph given as bitmask adjacency rows, as ascending
+    index tuples in lex order.
 
     A clique always appears before its extensions and extensions are
-    explored in ascending index order.  Each clique is yielded as ``root``
-    plus ``items[i]`` for its indices ``i`` in ascending order; by default
-    ``items[i]`` is ``(i,)``, so the cliques come out as index tuples.  Any
-    ``root`` and ``items`` that support ``+`` accumulate the same way: the
-    ``enumerate`` command grows each output line as a string here.  The
-    search keeps an explicit stack of (clique, candidates) pairs: children
-    are pushed from the highest index down, so the lowest is popped first.
+    explored in ascending index order.  The search keeps an explicit stack
+    of (clique, candidates) pairs: children are pushed from the highest
+    index down, so the lowest is popped first.
 
-    >>> triangle = (0b110, 0b101, 0b011)
-    >>> list(iter_index_cliques(triangle))
+    >>> list(iter_index_cliques((0b110, 0b101, 0b011)))
     [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
-    >>> list(iter_index_cliques(triangle, "/", ["a", "b", "c"]))
-    ['/', '/a', '/ab', '/abc', '/ac', '/b', '/bc', '/c']
     """
-    if items is None:
-        items = [(i,) for i in range(len(adjacency))]
-    stack = [(root, (1 << len(adjacency)) - 1)]
+    singletons = [(i,) for i in range(len(adjacency))]
+    stack = [((), (1 << len(adjacency)) - 1)]
     pop = stack.pop
     push = stack.append
     while stack:
@@ -140,20 +132,18 @@ def iter_index_cliques(
             i = cand.bit_length() - 1
             bit = 1 << i
             cand ^= bit
-            push((chosen + items[i], higher & adjacency[i]))
+            push((chosen + singletons[i], higher & adjacency[i]))
             higher |= bit
 
 
-def count_cliques(adjacency: Sequence[int]) -> int:
-    """Number of cliques, the empty one included, without listing them.
+def _clique_counter(adjacency: Sequence[int]) -> Callable[[int], int]:
+    """``count(cand)``: the cliques in the subtree of a search node with
+    candidates ``cand``, the node's own included.
 
     ``count(cand) = 1 + sum(count({j in cand : j > i} & adjacency[i]))`` over
     ``i`` in ``cand``: the children of :func:`iter_index_cliques`, memoised
     on the candidate mask, since distinct cliques often leave the same
     candidates (A10 monobricks: 1,037,718 cliques, 1,644 masks).
-
-    >>> count_cliques((0b110, 0b101, 0b011))
-    8
     """
     memo = {0: 1}
 
@@ -172,7 +162,88 @@ def count_cliques(adjacency: Sequence[int]) -> int:
             memo[cand] = found
         return found
 
-    return count((1 << len(adjacency)) - 1)
+    return count
+
+
+def count_cliques(adjacency: Sequence[int]) -> int:
+    """Number of cliques, the empty one included, without listing them.
+
+    >>> count_cliques((0b110, 0b101, 0b011))
+    8
+    """
+    return _clique_counter(adjacency)((1 << len(adjacency)) - 1)
+
+
+# Stands for a line's prefix in a subtree template; no text holds it.
+_HOLE = "\0"
+
+
+def clique_lines(
+    adjacency: Sequence[int],
+    head: str,
+    fragments: Sequence[str],
+    end: str,
+    limit: int = 256,
+) -> Iterator[tuple[str, int]]:
+    """Text of one line per clique, in :func:`iter_index_cliques` order, as
+    ``(text, lines)`` pieces of one or more whole lines.
+
+    A clique's line is ``head``, the ``fragments`` of its indices joined by
+    commas, and ``end``.  Every line under a search node is the node's
+    prefix plus a tail that depends only on the node's candidate mask, so a
+    subtree of at most ``limit`` lines is one piece: a ``str.replace`` of
+    ``_HOLE`` in a template of those tails, built once per mask from its
+    children's templates, its size the memoised count of
+    :func:`count_cliques`.  A larger node is a piece of its own line and
+    pushes its children as the index search does.  The root always does,
+    since its children's first fragment takes no comma.  Templates grow
+    with ``limit``: at the default, the 659 of A9 monobricks hold 0.56 MB.
+
+    >>> triangle = (0b110, 0b101, 0b011)
+    >>> list(clique_lines(triangle, "<", "abc", ">", 2))
+    [('<>', 1), ('<a>', 1), ('<a,b><a,b,c>', 2), ('<a,c>', 1), ('<b><b,c>', 2), ('<c>', 1)]
+    """
+    count = _clique_counter(adjacency)
+    items = ["," + fragment for fragment in fragments]
+    templates: dict[int, str] = {}
+
+    def template(cand: int) -> str:
+        found = templates.get(cand)
+        if found is None:
+            parts = [_HOLE + end]
+            rest = cand
+            while rest:  # ascending: what is left above i is the child's pool
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                child = template(rest & adjacency[i])
+                parts.append(child.replace(_HOLE, _HOLE + items[i]))
+            found = templates[cand] = "".join(parts)
+        return found
+
+    stack: list[tuple[str, int]] = []
+    push = stack.append
+
+    def push_children(prefix: str, cand: int, pieces: Sequence[str]) -> None:
+        higher = 0
+        while cand:
+            i = cand.bit_length() - 1
+            bit = 1 << i
+            cand ^= bit
+            push((prefix + pieces[i], higher & adjacency[i]))
+            higher |= bit
+
+    yield head + end, 1
+    push_children(head, (1 << len(adjacency)) - 1, fragments)
+    pop = stack.pop
+    while stack:
+        prefix, cand = pop()
+        size = count(cand)
+        if size <= limit:
+            yield template(cand).replace(_HOLE, prefix), size
+        else:
+            yield prefix + end, 1
+            push_children(prefix, cand, items)
 
 
 def check_budget(algebra: Algebra, budget: int | None = None) -> None:
@@ -378,30 +449,25 @@ def diagram_to_json(diagram: Diagram) -> dict:
     }
 
 
-def json_lines(table: ArcTable, kind: DiagramKind) -> Iterator[str]:
+def json_lines(table: ArcTable, kind: DiagramKind) -> Iterator[tuple[str, int]]:
     """Compact :func:`diagram_to_json` text of every diagram of ``kind``,
-    one line each, in :meth:`ArcTable.diagrams` order.
+    one line each, in :meth:`ArcTable.diagrams` order, as ``(text, lines)``
+    pieces of whole lines.
 
     Ascending indices are already the ``sorted_arcs`` order, so no
-    :class:`Diagram` is built.  Each line is the line head and one
-    ``"[start,end],"`` item per arc, with its last comma swapped for the
-    closing ``]}``; the empty diagram, yielded first, is the head alone.
-    Monobrick and semibrick lines grow inside the clique search, cofinally
-    closed ones are joined from the sorted closures.
+    :class:`Diagram` is built.  Monobrick and semibrick text comes from
+    :func:`clique_lines`, whole subtrees at a time; cofinally closed lines
+    are joined one by one from the sorted closures.
     """
     algebra = table.algebra
     head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
-    items = [f"[{a.start},{a.end}]," for a in table.arcs]
-    if kind is DiagramKind.COFINALLY_CLOSED:
-        lines = (
-            head + "".join([items[i] for i in clique])
-            for clique in table.diagrams(kind)
-        )
-    else:
-        lines = iter_index_cliques(table.adjacency[kind], head, items)
-    yield next(lines) + "]}\n"
-    for line in lines:
-        yield line[:-1] + "]}\n"
+    fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
+    if kind is not DiagramKind.COFINALLY_CLOSED:
+        return clique_lines(table.adjacency[kind], head, fragments, "]}\n")
+    return (
+        (head + ",".join([fragments[i] for i in clique]) + "]}\n", 1)
+        for clique in table.diagrams(kind)
+    )
 
 
 def json_field(data: dict, key: str):

@@ -168,6 +168,7 @@ class Oracle:
         self.dim_bound = dim_bound
         self._order = {n: i for i, n in enumerate(preset.indec_names)}
         self._rep_cache: dict[Member, Rep] = {}
+        self._summand_cache: dict[Member, tuple[tuple[int, int], ...]] = {}
         self._identify_cache: dict[Rep, Member] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
@@ -296,14 +297,19 @@ class Oracle:
         flats = fp.kernel_basis(tuple(rows), total, self.p)
         return [_unpack_element(f, x.dims, y.dims) for f in flats]
 
+    def _summands(self, member: Member) -> tuple[tuple[int, int], ...]:
+        """(indecomposable index, multiplicity) of each distinct summand."""
+        found = self._summand_cache.get(member)
+        if found is None:
+            found = tuple((self._order[n], k) for n, k in Counter(member).items())
+            self._summand_cache[member] = found
+        return found
+
     def hom_dim(self, x: Member, y: Member) -> int:
         """Additive over summands, so no linear algebra is needed here."""
-        cx, cy = Counter(x), Counter(y)
-        return sum(
-            cx[a] * cy[b] * self._indec_hom[self._order[a]][self._order[b]]
-            for a in cx
-            for b in cy
-        )
+        hom = self._indec_hom
+        into = self._summands(y)
+        return sum(k * m * hom[a][b] for a, k in self._summands(x) for b, m in into)
 
     def hom_basis(self, x: Member, y: Member) -> list[tuple[fp.Matrix, ...]]:
         cached = self._hom_basis_cache.get((x, y))

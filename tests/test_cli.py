@@ -5,6 +5,7 @@ The exit code contract is load-bearing: 0 success, 1 failed audit,
 click's CliRunner, so stdout and stderr are captured separately.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,9 +91,9 @@ def test_enumerate_is_deterministic(runner):
     ("family", "ranks"), [("A", range(0, 7)), ("B", range(1, 6))]
 )
 def test_enumerate_stream_matches_library_encoding(runner, family, ranks, kind):
-    # The CLI grows each line inside the clique search; the library builds
-    # Diagram objects and encodes them with json.dumps.  Both must give the
-    # same bytes.
+    # The CLI writes whole clique subtrees from text templates; the library
+    # builds Diagram objects and encodes them with json.dumps.  Both must
+    # give the same bytes.
     for rank in ranks:
         algebra = Algebra(family, rank)
         expected = "".join(
@@ -105,6 +106,129 @@ def test_enumerate_stream_matches_library_encoding(runner, family, ranks, kind):
             ["enumerate", "--algebra", family, "--n", str(rank), "--kind", kind],
         )
         assert result.output == expected, (family, rank, kind)
+
+
+# sha256 of `enumerate` stdout for the monobrick, semibrick and
+# cofinally-closed kinds, taken from the line-at-a-time writer that the
+# subtree templates replaced.
+ENUMERATE_SHA256 = {
+    ("A", 0): (
+        "ec094ce84d81ac15eebec894fa90945f86fb21b39a6566874981f77f1172f9b7",
+        "ec094ce84d81ac15eebec894fa90945f86fb21b39a6566874981f77f1172f9b7",
+        "ec094ce84d81ac15eebec894fa90945f86fb21b39a6566874981f77f1172f9b7",
+    ),
+    ("A", 1): (
+        "e7b8e646fc256c2f385cf86c16844f072b1a3b06072d3283ab0bf3da4b77b000",
+        "e7b8e646fc256c2f385cf86c16844f072b1a3b06072d3283ab0bf3da4b77b000",
+        "e7b8e646fc256c2f385cf86c16844f072b1a3b06072d3283ab0bf3da4b77b000",
+    ),
+    ("A", 2): (
+        "8228cb01e572351cc717f9cdf72de1da8f1c3f307d638d7035fb2805f60810c1",
+        "b431ef6cf30a2c2b7adb69315ef7568fba829468b62186afc9970bbb68f7b1fa",
+        "6522e230b798dba729f85b1d120cfe4a37d52c2c165f78e0ec9047c748e2cfba",
+    ),
+    ("A", 3): (
+        "9354d4a18b8b2b1d24304b3953b3649574688f48dbe125d3157c3374f9ab2c61",
+        "b8028dcbcbf70f9bfcb5708f4568ec2a0b30ef8b14b15984e4d7cc37f53c727e",
+        "3405b2265464e69a8a551abff94796290f5462ff662900486868eeb623b399de",
+    ),
+    ("A", 4): (
+        "707bb642f7fc03e7a6c284d027e2a81ea0377035709fd49c8620338c00406a3a",
+        "5aa3791480e936593c5dca7150717d0748b9d357920dc0f9b51153969f76a610",
+        "e63ea979dfc5ab7e97c4857f39b7020e9275a392c1e6d0040d7bff2a2f9c18ae",
+    ),
+    ("A", 5): (
+        "a70cfe34d090aeec6c1d0b641aa4a16ebae6e9e41a535bd35bfc69416afff88a",
+        "74163633fe58f3af065ca487c845728c2980fecba3d235dfdbe25979e2809209",
+        "8f2cf8798cd7cfd69be1fe218281cb5504e88baac229be069d85d081c497afe3",
+    ),
+    ("A", 6): (
+        "76a1c703a6b43138db73f12cbf049393146f533e908213e9e273ae0670c64d3d",
+        "3d304ab5b37fa2bf141a6474b6b3ae743cb629567f1ab5fa17df6ac0b8698794",
+        "c1fbd4b636786e68e89cac8fdd43b98d7a5e1d64f409c05623c2993e9d31452e",
+    ),
+    ("A", 7): (
+        "3e8bfe6abd599ac6ebf8ca75e6a2ca99bdc910a1fbce19ac5094d0d5cbbe6b83",
+        "cd913152481b8fb79b9ae7c12d71cffe9ea1a98a8d7f2554b1173495c177d8fa",
+        "838599d05f15d99a2e70446e0682063938498dc3061c6995f0f1949ace811089",
+    ),
+    ("A", 8): (
+        "d482588f1dbebf637ee6c1b462a8ceed2a631958f67f9ef203151ba47b7d7450",
+        "b3906a0216806154a6fae266d2d51058d5c18e658a7c8a72ba48decdc6955a0d",
+        "4a8da94032e337f34db9f0e47fdadda153192cabfbf56a3c49d684767d246be9",
+    ),
+    ("A", 9): (
+        "c0464e19911131937b2139a320afa3803c5f1c909819a9d0a65fb1cd646d9075",
+        "5fe04f98a6be12cf34ab9b7559edb99b986464551441431162feb67b1f0b47c5",
+        "34ac96fca47756f46b400df5d67df638747961be52f9cd1b485f8699581d7339",
+    ),
+    ("B", 1): (
+        "4a86489e54696d9c7296260237a79a1102de361d131793bf3cc6f55b17a663cb",
+        "4a86489e54696d9c7296260237a79a1102de361d131793bf3cc6f55b17a663cb",
+        "4a86489e54696d9c7296260237a79a1102de361d131793bf3cc6f55b17a663cb",
+    ),
+    ("B", 2): (
+        "848e74ba6a4017f662d67a6a02a1497a0a72d7431a524af4fa0656dadac05072",
+        "b644c9570db5f4bb7002cdff0e15b3428f001618fea1c874ff70f5c5e66621a3",
+        "2f6eb3fbfe73d0b42b87b2dd4c62ba38297f623cfb04071ae63e575fa16d897c",
+    ),
+    ("B", 3): (
+        "58d75d825cef1a3d6352ed98eafd1d0dafbc46191df77935caa39300e849d78f",
+        "f8143526c5e076acdea6681907e59e6005915d8cdbdcb8658f35d132926a75d0",
+        "43a7647a33bf599e962a1a7b351e0e17fe0dea00bf419a594be97f8c99cf94cf",
+    ),
+    ("B", 4): (
+        "51e39b4b9ed03f87b0fc8c1b829e07ed3e75dc0c6168a948363774a8ca7f8340",
+        "d3ce0282ff64d381b5fc6cd499f1d716ba2244e47beb09f1a27f3473f06cacdb",
+        "4a883633a9457317ffadd00de660af75504cb11f5db365db4c4a38369ad3413c",
+    ),
+    ("B", 5): (
+        "a874ecb03ec8efc09589715fc6909429c5267bbf812da92d321d6a0eb7c7c6f9",
+        "30bfd4c56e89ca9fb399cf2284b227e14a1b2ab3edd6d90b19f6f76122044d8b",
+        "316ebda9805e42d82ea53a93aa7f1aac5566126bfdce317ac7b1d34e1304dd20",
+    ),
+    ("B", 6): (
+        "b1ac01f045d6be76591a2ac0e397b55b7aa4b11c32d023059df87423feef8802",
+        "07a23ec42ac73250a9528c8d8293eff26bc9c3e1ce4c94c0dad6062c036206ab",
+        "9255ec41989a1b3912fdbb09f93f197d66db47da45f2b315908afcc025ef133b",
+    ),
+    ("B", 7): (
+        "c122671813f2d405fa6be80dbd1d4613468905896d312e090a34a490cefba3b7",
+        "fbe0d6869de7ab774fbb329b03f0ed84b05ce22868bcbfa62faf7b3b57c28f74",
+        "c343cb8dd5c813b81dee2d3ee3e77a73771ba33eb09d87cfebf6b75583d260fc",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("family", "rank"), sorted(ENUMERATE_SHA256), ids=str
+)
+def test_enumerate_stdout_is_pinned(runner, family, rank):
+    kinds = ("monobrick", "semibrick", "cofinally-closed")
+    for kind, digest in zip(kinds, ENUMERATE_SHA256[family, rank]):
+        args = ["enumerate", "--algebra", family, "--n", str(rank), "--kind", kind]
+        result = invoke(runner, args)
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest, kind
+
+
+class _WriteLog:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40_000), st.integers(0, 500)), max_size=12))
+def test_enumerate_writes_pieces_of_one_size(chunks):
+    # Writes of varying size fragment the heap of a reader that allocates a
+    # buffer per read, so every write but the last has the same size.
+    texts = [(str(k % 10) * n, lines) for k, (n, lines) in enumerate(chunks)]
+    log = _WriteLog()
+    assert cli._write_pieces(log, iter(texts)) == sum(lines for _, lines in texts)
+    assert "".join(log.writes) == "".join(text for text, _ in texts)
+    assert {len(w) for w in log.writes[:-1]} <= {cli._BYTES_PER_WRITE}
+    assert len(log.writes[-1]) < cli._BYTES_PER_WRITE
 
 
 def test_enumerate_budget_exit_code(runner):

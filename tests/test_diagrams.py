@@ -4,7 +4,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, strategies as st
 
-from monobrick.arcs import Algebra, Arc, Crossing, HomKind, hom_kind, submodule_arcs
+from monobrick.arcs import Algebra, Arc, Crossing, HomKind, submodule_arcs
 from monobrick.diagrams import (
     ArcTable,
     BudgetExceeded,
@@ -13,6 +13,7 @@ from monobrick.diagrams import (
     arc_table,
     catalan,
     central_binomial,
+    clique_lines,
     count_cliques,
     count_closed_form,
     count_diagrams,
@@ -163,11 +164,20 @@ def symmetric_graphs(draw):
 
 @given(symmetric_graphs())
 def test_clique_search_accumulates_any_items(adjacency):
+    # The template kernel against the per-clique join of the index search:
+    # at limit 1 only leaves are templates, at 2 and 3 templates mix with
+    # nodes expanded one by one, and the default is the command's own.
     cliques = list(iter_index_cliques(adjacency))
     assert count_cliques(adjacency) == len(cliques)
-    items = [f"<{i}>" for i in range(len(adjacency))]
-    expected = ["#" + "".join(items[i] for i in clique) for clique in cliques]
-    assert list(iter_index_cliques(adjacency, "#", items)) == expected
+    fragments = [f"<{i}>" for i in range(len(adjacency))]
+    expected = "".join(
+        "#" + ",".join([fragments[i] for i in clique]) + ";\n" for clique in cliques
+    )
+    for limit in (1, 2, 3, None):
+        args = (adjacency, "#", fragments, ";\n") + ((limit,) if limit else ())
+        pieces = list(clique_lines(*args))
+        assert "".join(text for text, _ in pieces) == expected, limit
+        assert [text.count("\n") for text, _ in pieces] == [n for _, n in pieces]
 
 
 def literal_json_lines(table, cliques):
@@ -186,13 +196,15 @@ def literal_json_lines(table, cliques):
 def test_json_lines_match_the_per_line_join(algebra):
     table = arc_table(algebra)
     for kind in DiagramKind:
-        expected = literal_json_lines(table, table.diagrams(kind))
-        assert list(json_lines(table, kind)) == list(expected), kind
+        expected = "".join(literal_json_lines(table, table.diagrams(kind)))
+        pieces = list(json_lines(table, kind))
+        assert "".join(text for text, _ in pieces) == expected, kind
+        assert sum(n for _, n in pieces) == expected.count("\n"), kind
 
 
 def literal_submodule_masks(algebra):
-    """``prefixes`` and ``bad`` from ``submodule_arcs`` and ``hom_kind`` on
-    every ordered arc pair."""
+    """``prefixes`` from ``submodule_arcs`` and ``bad`` from the socle-series
+    ``literal_hom_kind`` on every ordered arc pair."""
     arcs = algebra.arcs()
     index = {arc: i for i, arc in enumerate(arcs)}
     prefixes = tuple(
@@ -202,7 +214,7 @@ def literal_submodule_masks(algebra):
         sum(
             1 << j
             for j, m in enumerate(arcs)
-            if hom_kind(p, m, algebra) is HomKind.NONZERO_NON_INJECTION
+            if literal_hom_kind(p, m, algebra) is HomKind.NONZERO_NON_INJECTION
         )
         for p in arcs
     )
