@@ -12,8 +12,8 @@ starts a fresh interpreter, so a module never loaded is time saved on every
 call.
 
 Exit codes are a stable contract: 0 success, 1 a verification suite
-reported failures, 2 command-line misuse, 3 enumeration budget or query
-rank cap exceeded, 4 mathematically invalid input data.
+reported failures, 2 command-line misuse, 3 enumeration budget, query
+rank cap or render cell cap exceeded, 4 mathematically invalid input data.
 """
 
 import json
@@ -46,7 +46,7 @@ from monobrick.ncl import (
     partition_to_json,
     to_diagram,
 )
-from monobrick.render import render_diagram
+from monobrick.render import PictureTooLarge, render_diagram
 
 
 class DataError(click.ClickException):
@@ -91,7 +91,12 @@ def _sink(out_path):
     if out_path is None:
         yield sys.stdout
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        message = f"cannot write --out {out_path}: {exc.strerror}"
+        raise click.UsageError(message) from exc
+    with fh:
         yield fh
 
 
@@ -165,15 +170,17 @@ def _budget_override(family: str, flag: int | None) -> int | None:
 
 
 def _read_json(in_path):
-    if in_path is None:
-        text = sys.stdin.read()
-    else:
-        with open(in_path, encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if in_path is None:
+            text = sys.stdin.read()
+        else:
+            with open(in_path, encoding="utf-8") as fh:
+                text = fh.read()
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"input is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
         raise DataError(f"input JSON cannot be read: {exc}") from exc
     if not isinstance(payload, dict):
@@ -423,11 +430,17 @@ def oracle_verify(preset, p, out_path):
 def render_command(in_path, out_path):
     """ASCII picture: marks on a baseline, bracket arcs above it.
 
-    Cyclic diagrams are drawn over two copies of the mark circle.
+    Cyclic diagrams are drawn over two copies of the mark circle.  A
+    picture of more than 4,000,000 cells (a row per arc level plus the
+    baseline, four columns per baseline mark) is refused with exit code 3.
     """
     diagram = _diagram_of(_read_json(in_path))
+    try:
+        picture = render_diagram(diagram)
+    except PictureTooLarge as exc:
+        raise BudgetError(str(exc)) from exc
     with _sink(out_path) as fh:
-        fh.write(render_diagram(diagram) + "\n")
+        fh.write(picture + "\n")
 
 
 if __name__ == "__main__":

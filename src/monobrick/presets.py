@@ -6,18 +6,25 @@ of indecomposable representations given by explicit matrices.  Matrices act
 on row vectors, so an arrow ``src -> tgt`` carries a ``dims[src] x
 dims[tgt]`` matrix and path composition multiplies left to right.
 
-Four presets are serial: :func:`_serial` generates them from the arcs of
-their algebra, one uniserial module per arc.  ``a3_source`` is not serial
-and is written out by hand.  Entries are 0/1, so the same data works over
-any prime field; the field only enters when linear algebra runs.
-:func:`get_preset` checks the vanishing paths and the names, then caches
-the result.
+One builder, :func:`interval_preset`, makes every preset: its
+indecomposables are thin, one per arc of its algebra.  :data:`PRESETS`
+gives each preset its algebra, and ``a3_source``, the one preset that is
+not serial, its own arrows:
+
+>>> interval_preset("a3_source", *PRESETS["a3_source"]).indec_names
+('1', '2', '3', '1/2', '3/2', '13/2')
+
+Entries are 0/1, so the same data works over any prime field; the field
+only enters when linear algebra runs.  :func:`get_preset` checks the
+vanishing paths and the names, then caches the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from monobrick import FIELD_SIZES, PRESET_NAMES
 from monobrick.arcs import Algebra, arc_length, socle_series
@@ -70,45 +77,61 @@ def _rep(
 
 ONE: Matrix = ((1,),)
 
-# The serial presets and the arc algebras they model.
-SERIAL_ALGEBRAS = {
-    "a2_linear": Algebra.linear_a(2),
-    "a3_linear": Algebra.linear_a(3),
-    "nak2": Algebra.cyclic_b(2),
-    "b3": Algebra.cyclic_b(3),
-}
+
+def _layer_name(series: list[int], joins: list[tuple[int, int]]) -> str:
+    """Radical layers, top first: a vertex lies in layer ``k`` when the
+    longest path of ``joins`` arrows ending at it has length ``k``."""
+
+    def layer(v: int) -> int:
+        return max((layer(s) + 1 for s, t in joins if t == v), default=0)
+
+    top_down = sorted((layer(v), v + 1) for v in series)
+    return "/".join(
+        "".join(str(v) for _, v in group)
+        for _, group in groupby(top_down, key=itemgetter(0))
+    )
 
 
-def _serial(name: str, algebra: Algebra) -> Preset:
-    """The Nakayama algebra of ``algebra``, one uniserial module per arc.
+def interval_preset(
+    name: str,
+    algebra: Algebra,
+    arrows: tuple[tuple[int, int], ...] | None = None,
+) -> Preset:
+    """One thin module per arc of ``algebra``, in (length, start) order.
 
-    Vertex ``v`` is mark ``v + 1`` and arrow ``v`` runs ``v + 1 -> v``; in
+    Vertex ``v`` is mark ``v + 1``.  Without ``arrows`` the quiver is the
+    Nakayama quiver of ``algebra``: arrow ``v`` runs ``v + 1 -> v``, and in
     family B the last arrow closes the cycle and every path of length
-    ``rank`` vanishes.  An arc's module has one dimension at each mark of its
-    socle series and ``ONE`` on each arrow between consecutive marks of it;
-    its name reads the series from top to socle.  Arcs come in (length,
-    start) order.
-
-    >>> _serial("nak2", Algebra.cyclic_b(2)).indec_names
-    ('1', '2', '2/1', '1/2')
+    ``rank`` vanishes.  ``arrows`` orient the line of marks of a family A
+    algebra instead, with no arc model.  An arc's module has one dimension
+    at each mark of its socle series and ``ONE`` on the arrow between each
+    two consecutive marks, the one from the later mark where two join them.
     """
     n = algebra.rank
-    arrows = tuple((v + 1, v) for v in range(n - 1))
     zero_paths: tuple[tuple[int, ...], ...] = ()
-    if algebra.kind == "B":
-        arrows += ((0, n - 1),)
-        # The path of length n leaving vertex v: arrows v - 1, v - 2, ...
-        zero_paths = tuple(
-            tuple((v - 1 - k) % n for k in range(n)) for v in range(n)
-        )
+    arc_algebra = None
+    if arrows is None:
+        arc_algebra = algebra
+        arrows = tuple((v + 1, v) for v in range(n - 1))
+        if algebra.kind == "B":
+            arrows += ((0, n - 1),)
+            # The path of length n leaving vertex v: arrows v - 1, v - 2, ...
+            zero_paths = tuple(
+                tuple((v - 1 - k) % n for k in range(n)) for v in range(n)
+            )
+    index = {arrow: i for i, arrow in enumerate(arrows)}
     names, reps = [], []
     for arc in sorted(
         algebra.arcs(), key=lambda a: (arc_length(a, algebra.marks), a.start)
     ):
-        series = socle_series(arc, algebra.marks)
-        dims = tuple(int(v + 1 in series) for v in range(n))
-        names.append("/".join(str(m) for m in reversed(series)))
-        reps.append(_rep(arrows, dims, {m - 1: ONE for m in series[:-1]}))
+        series = [m - 1 for m in socle_series(arc, algebra.marks)]
+        joins = [
+            index[(t, s)] if (t, s) in index else index[(s, t)]
+            for s, t in zip(series, series[1:])
+        ]
+        names.append(_layer_name(series, [arrows[i] for i in joins]))
+        dims = tuple(int(v in series) for v in range(n))
+        reps.append(_rep(arrows, dims, dict.fromkeys(joins, ONE)))
     return Preset(
         name=name,
         num_vertices=n,
@@ -117,40 +140,19 @@ def _serial(name: str, algebra: Algebra) -> Preset:
         indec_names=tuple(names),
         indec_reps=tuple(reps),
         p=2,
-        arc_algebra=algebra,
+        arc_algebra=arc_algebra,
     )
 
 
-def _source_a3() -> Preset:
-    # 1 -> 2 <- 3
-    arrows = ((0, 1), (2, 1))
-    indecs = [
-        ("1", _rep(arrows, (1, 0, 0))),
-        ("2", _rep(arrows, (0, 1, 0))),
-        ("3", _rep(arrows, (0, 0, 1))),
-        ("1/2", _rep(arrows, (1, 1, 0), {0: ONE})),
-        ("3/2", _rep(arrows, (0, 1, 1), {1: ONE})),
-        ("13/2", _rep(arrows, (1, 1, 1), {0: ONE, 1: ONE})),
-    ]
-    return Preset(
-        name="a3_source",
-        num_vertices=3,
-        arrows=arrows,
-        zero_paths=(),
-        indec_names=tuple(n for n, _ in indecs),
-        indec_reps=tuple(r for _, r in indecs),
-        p=2,
-        arc_algebra=None,
-    )
-
-
-_BUILDERS = {
-    name: (
-        partial(_serial, name, SERIAL_ALGEBRAS[name])
-        if name in SERIAL_ALGEBRAS
-        else _source_a3
-    )
-    for name in PRESET_NAMES
+# Every preset as its algebra and its arrows, None for the Nakayama quiver.
+# a3_source orients A3 as 1 -> 2 <- 3; the arc layer models only the
+# Nakayama orientation, so it has no arc algebra.
+PRESETS = {
+    "a2_linear": (Algebra.linear_a(2), None),
+    "a3_linear": (Algebra.linear_a(3), None),
+    "a3_source": (Algebra.linear_a(3), ((0, 1), (2, 1))),
+    "nak2": (Algebra.cyclic_b(2), None),
+    "b3": (Algebra.cyclic_b(3), None),
 }
 
 
@@ -170,11 +172,11 @@ def _validate(preset: Preset) -> Preset:
 @lru_cache(maxsize=None)
 def get_preset(name: str, p: int = 2) -> Preset:
     """Look up a preset, optionally over a different prime field."""
-    if name not in _BUILDERS:
+    if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if p not in FIELD_SIZES:
         raise ValueError("supported field sizes are 2, 3 and 5")
-    preset = _BUILDERS[name]()
+    preset = interval_preset(name, *PRESETS[name])
     if p != 2:
         preset = replace(preset, p=p)
     return _validate(preset)

@@ -16,6 +16,16 @@ from monobrick.diagrams import Diagram
 
 _STEP = 4
 
+# The largest picture render_diagram draws, in grid cells.  The grid has a
+# row per arc level plus the baseline and _STEP columns per position, and
+# the levels can reach the number of arcs: 1000 nested arcs on A1999 make
+# 8 million cells, and the command then peaked at 93 MB.
+CELL_CAP = 4_000_000
+
+
+class PictureTooLarge(RuntimeError):
+    """Rendering refused: the picture would exceed ``CELL_CAP`` cells."""
+
 
 def _column(position: int) -> int:
     return (position - 1) * _STEP
@@ -35,7 +45,9 @@ def _spans(diagram: Diagram) -> list[tuple[int, int]]:
     return spans
 
 
-def _assign_levels(spans: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+def _assign_levels(
+    spans: list[tuple[int, int]], max_levels: int
+) -> list[tuple[int, int, int]]:
     occupied: list[list[tuple[int, int]]] = []
     placed = []
     for start, end in spans:
@@ -45,6 +57,11 @@ def _assign_levels(spans: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
         ):
             level += 1
         if level == len(occupied):
+            if level == max_levels:
+                raise PictureTooLarge(
+                    f"picture needs more than {max_levels} arc levels at its "
+                    f"width, over the render cap of {CELL_CAP} cells"
+                )
             occupied.append([])
         occupied[level].append((start, end))
         placed.append((start, end, level + 1))
@@ -56,14 +73,15 @@ def render_diagram(diagram: Diagram) -> str:
     cyclic = diagram.algebra.kind == "B"
     positions = 2 * n if cyclic else n
 
-    placed = _assign_levels(_spans(diagram))
-    height = max((level for _, _, level in placed), default=0)
-
     labels = [
         str(reduce_mark(p, n)) if cyclic else str(p)
         for p in range(1, positions + 1)
     ]
     width = _column(positions) + len(labels[-1])
+    # The baseline takes one row of the cap, each arc level another.
+    placed = _assign_levels(_spans(diagram), CELL_CAP // width - 1)
+    height = max((level for _, _, level in placed), default=0)
+
     grid = [[" "] * width for _ in range(height + 1)]
 
     def paint(row: int, col: int, char: str) -> None:

@@ -22,7 +22,6 @@ from monobrick.oracle import (
     OracleError,
     get_oracle,
 )
-from monobrick.presets import SERIAL_ALGEBRAS
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -43,12 +42,6 @@ EXPECTED_COUNTS = {
     "nak2": Counts(universe=80, bricks=4, monobricks=8, semibricks=6),
     "b3": Counts(universe=361, bricks=9, monobricks=38, semibricks=20),
 }
-
-# Linear and cyclic orientations give serial algebras, where a subcategory
-# satisfies the one-sided Schur condition exactly when it is closed under
-# extensions, kernels and images.  The source orientation is not serial and
-# provides genuine one-directional counterexamples.
-SERIAL_PRESETS = frozenset(SERIAL_ALGEBRAS)
 
 
 @dataclass(frozen=True)
@@ -467,9 +460,9 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
     """One-sided Schur condition versus extension/kernel/image closure.
 
     Sweeps the filtration closures of all brick subsets.  On serial presets
-    the two properties must coincide; on the source orientation closure
-    still implies the Schur condition, and the converse fails on exactly
-    the monobricks flagged in the fixture table.
+    (those with an arc algebra) the two properties must coincide; on the
+    source orientation closure still implies the Schur condition, and the
+    converse fails on exactly the monobricks flagged in the fixture table.
     """
     name = oracle.preset.name
     bricks = oracle.brick_members()
@@ -485,7 +478,7 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
         schur = oracle.is_left_schur(e)
         verdicts[e] = (schur, closed)
         label = f"filt({_fmt(_names(gens))})"
-        if name in SERIAL_PRESETS:
+        if oracle.preset.arc_algebra is not None:
             if schur != closed:
                 problems.append(
                     f"{label}: schur={schur} but kernel/image closure={closed}"

@@ -1,4 +1,4 @@
-"""The four serial presets written out by hand, kept as test references.
+"""The five presets written out by hand, kept as test references.
 
 The package generates these presets from the arcs of their algebras.  These
 are the 0/1 matrices and vanishing paths they were first entered as; tests
@@ -48,6 +48,20 @@ def literal_a3_linear() -> Preset:
     return _preset("a3_linear", 3, arrows, (), indecs, Algebra.linear_a(3))
 
 
+def literal_a3_source() -> Preset:
+    # 1 -> 2 <- 3: not serial, so no arc algebra.
+    arrows = ((0, 1), (2, 1))
+    indecs = [
+        ("1", _rep(arrows, (1, 0, 0))),
+        ("2", _rep(arrows, (0, 1, 0))),
+        ("3", _rep(arrows, (0, 0, 1))),
+        ("1/2", _rep(arrows, (1, 1, 0), {0: ONE})),
+        ("3/2", _rep(arrows, (0, 1, 1), {1: ONE})),
+        ("13/2", _rep(arrows, (1, 1, 1), {0: ONE, 1: ONE})),
+    ]
+    return _preset("a3_source", 3, arrows, (), indecs, None)
+
+
 def literal_nak2() -> Preset:
     # Two vertices in a cycle, paths of length two vanish.
     arrows = ((1, 0), (0, 1))
@@ -82,6 +96,7 @@ def literal_b3() -> Preset:
 LITERAL_PRESETS = {
     "a2_linear": literal_a2_linear,
     "a3_linear": literal_a3_linear,
+    "a3_source": literal_a3_source,
     "nak2": literal_nak2,
     "b3": literal_b3,
 }

@@ -27,7 +27,6 @@ from monobrick.presets import get_preset
 from monobrick.verify import (
     CLOSURE_TABLES,
     EXPECTED_COUNTS,
-    SERIAL_PRESETS,
     check_arc_agreement,
     check_closure_table,
     check_left_schur,
@@ -123,7 +122,9 @@ def test_criterion_08_structural_identities():
 
 
 def test_criterion_09_schur_closure_characterization():
-    for preset in sorted(SERIAL_PRESETS) + ["a3_source"]:
+    # Serial presets (with an arc algebra) must show the equivalence, and
+    # a3_source its listed failures.
+    for preset in sorted(EXPECTED_COUNTS):
         result = check_left_schur(get_oracle(preset))
         assert result.passed, f"{preset}: {result.detail}"
 

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import monobrick
-from monobrick import cli, diagrams, poset, presets
+from monobrick import cli, diagrams, poset, presets, render
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import EXPECTED_COUNTS, CheckResult
@@ -340,6 +340,30 @@ def test_enumerate_over_budget_leaves_out_file_alone(runner, tmp_path):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    ("args", "code"),
+    [
+        (["closure"], 2),
+        (["enumerate", "--algebra", "A", "--n", "2"], 2),
+        (["count", "--algebra", "A", "--n-max", "3"], 2),
+        (["oracle", "verify", "--preset", "a2_linear"], 2),
+        # An over-budget rank is refused before the file is opened.
+        (["enumerate", "--algebra", "A", "--n", "11"], 3),
+        (["count", "--algebra", "B", "--n-max", "8"], 3),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else str(value),
+)
+def test_out_in_a_missing_directory_is_a_usage_error(runner, tmp_path, args, code):
+    target = tmp_path / "missing" / "out.txt"
+    diagram = '{"n":3,"algebra":"A","arcs":[[1,4]]}'
+    result = runner.invoke(cli.main, args + ["--out", str(target)], input=diagram)
+    assert result.exit_code == code, result.exception
+    assert result.stdout == ""
+    if code == 2:
+        assert f"cannot write --out {target}" in result.stderr
+    assert not target.parent.exists()
+
+
 def test_enumerate_out_file_matches_stdout(runner, tmp_path):
     target = tmp_path / "stream.jsonl"
     args = ["enumerate", "--algebra", "A", "--n", "2"]
@@ -587,6 +611,18 @@ def test_unreadable_json_exits_4(runner, command, payload):
     result = runner.invoke(cli.main, [command], input=payload)
     assert result.exit_code == 4, result.exception
     assert "input JSON cannot be read" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["closure", "mmax", "render", "ncl"])
+def test_input_that_is_not_utf8_exits_4(runner, tmp_path, command):
+    source = tmp_path / "in.json"
+    source.write_bytes(b'\xff\xfe{"n":1}')
+    from_file = runner.invoke(cli.main, [command, "--in", str(source)])
+    from_stdin = runner.invoke(cli.main, [command], input=source.read_bytes())
+    for result in (from_file, from_stdin):
+        assert result.exit_code == 4, result.exception
+        assert result.stdout == ""
+        assert "input is not UTF-8" in result.stderr
 
 
 # Arc ends and marks stay small; ranks are small or past the query cap, which
@@ -848,7 +884,7 @@ def test_preset_choices_are_the_verified_presets():
 
 
 def test_preset_names_are_the_preset_builders():
-    assert tuple(presets._BUILDERS) == monobrick.PRESET_NAMES
+    assert tuple(presets.PRESETS) == monobrick.PRESET_NAMES
 
 
 def test_in_file_is_closed_after_reading(tmp_path):
@@ -894,6 +930,31 @@ def test_render_accepts_crossing_diagrams(runner):
     )
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == "1   2   3   4"
+
+
+def _nested(rank, arcs):
+    nested = [[i, rank + 2 - i] for i in range(1, arcs + 1)]
+    return json.dumps({"n": rank, "algebra": "A", "arcs": nested})
+
+
+def test_render_takes_a_picture_at_the_cell_cap_and_refuses_a_larger_one(runner):
+    # On A1999 a row is 8000 cells: 499 nested arcs and the baseline fill
+    # the cap exactly, and one more arc adds a row.
+    assert render.CELL_CAP == 500 * 8000
+    at_cap = invoke(runner, ["render"], input=_nested(1999, 499))
+    assert at_cap.exit_code == 0
+    rows = at_cap.stdout.splitlines()
+    assert len(rows) == 500 and len(rows[-1]) == 8000
+    for rank, arcs in [(1999, 500), (9999, 5000)]:
+        over = runner.invoke(cli.main, ["render"], input=_nested(rank, arcs))
+        assert over.exit_code == 3, over.exception
+        assert over.stdout == ""
+        assert f"render cap of {render.CELL_CAP} cells" in over.stderr
+
+
+def test_render_help_states_the_cell_cap(runner):
+    help_text = invoke(runner, ["render", "--help"]).stdout
+    assert f"{render.CELL_CAP:,} cells" in help_text
 
 
 def test_version_flag(runner):

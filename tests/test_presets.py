@@ -1,11 +1,11 @@
-"""Generated serial presets against their hand-entered references."""
+"""Generated presets against their hand-entered references."""
 
 import pytest
 
 from literal_presets import LITERAL_PRESETS
 from monobrick.arcs import Algebra
 from monobrick.oracle import Oracle
-from monobrick.presets import _serial, _validate, get_preset
+from monobrick.presets import _validate, get_preset, interval_preset
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -38,7 +38,7 @@ def test_generated_indecomposables_are_isomorphic_to_the_literal_ones(name, p):
     ids=str,
 )
 def test_generator_beyond_rank_three(algebra, indecs, universe):
-    preset = _validate(_serial(str(algebra), algebra))
+    preset = _validate(interval_preset(str(algebra), algebra))
     assert len(preset.indec_names) == indecs
     oracle = Oracle(preset, 6)
     assert len(oracle.members) == universe
@@ -46,3 +46,37 @@ def test_generator_beyond_rank_three(algebra, indecs, universe):
     # through the generator, and the generator lists arcs by (length, start).
     found = [oracle.arc_member(arc)[0] for arc in algebra.arcs()]
     assert sorted(found, key=preset.indec_names.index) == list(preset.indec_names)
+
+
+# Each orientation of A_n as a word: its k-th letter is "<" for the arrow
+# k <- k+1 and ">" for k -> k+1.  The counts are the oracle census of every
+# orientation; the semibricks are Catalan numbers whatever the orientation.
+@pytest.mark.parametrize(
+    "word,monobricks,whole",
+    [
+        ("<<", 22, "3/2/1"),
+        ("<>", 24, "2/13"),
+        ("><", 26, "13/2"),
+        (">>", 22, "1/2/3"),
+        ("<<<", 90, "4/3/2/1"),
+        ("<<>", 104, "3/24/1"),
+        ("<><", 128, "24/13"),
+        ("<>>", 104, "2/13/4"),
+        ("><<", 130, "14/3/2"),
+        ("><>", 128, "13/24"),
+        (">><", 130, "14/2/3"),
+        (">>>", 90, "1/2/3/4"),
+    ],
+)
+def test_every_orientation_of_a3_and_a4(word, monobricks, whole):
+    n = len(word) + 1
+    arrows = tuple(
+        (k + 1, k) if c == "<" else (k, k + 1) for k, c in enumerate(word)
+    )
+    preset = _validate(interval_preset(word, Algebra.linear_a(n), arrows))
+    assert preset.arrows == arrows and preset.arc_algebra is None
+    assert len(preset.indec_names) == n * (n + 1) // 2
+    assert preset.indec_names[-1] == whole
+    oracle = Oracle(preset, n)
+    assert len(oracle.monobricks()) == monobricks
+    assert len(oracle.semibricks()) == {3: 14, 4: 42}[n]

@@ -12,10 +12,10 @@ from functools import lru_cache
 import pytest
 
 from monobrick.oracle import Oracle, get_oracle
+from monobrick.presets import PRESETS as PRESET_TABLE, get_preset
 from monobrick.verify import (
     CLOSURE_TABLES,
     EXPECTED_COUNTS,
-    SERIAL_PRESETS,
     check_arc_agreement,
     closure_row_problems,
     run_checks,
@@ -84,7 +84,13 @@ def test_arc_agreement_reports_both_sides_of_a_query(monkeypatch, method, mismat
 
 
 def test_serial_presets_cover_everything_but_the_source():
-    assert SERIAL_PRESETS == frozenset(PRESETS) - {"a3_source"}
+    # A preset is serial, with an arc model, exactly when the table leaves
+    # its arrows to the Nakayama quiver of its algebra.
+    assert set(PRESET_TABLE) == set(PRESETS)
+    for name, (algebra, arrows) in PRESET_TABLE.items():
+        expected = algebra if name != "a3_source" else None
+        assert get_preset(name).arc_algebra == expected
+        assert (arrows is None) == (expected is not None)
 
 
 def test_table_rows_are_distinct():
