@@ -411,9 +411,10 @@ def oracle_verify(preset, p, out_path):
 
     One PASS/FAIL line per check, a summary line, exit 0 iff all pass.
     """
-    results = run_checks(preset, p=int(p))
-    passed = sum(1 for result in results if result.passed)
+    # The sink opens first, so an unwritable --out fails before the audits.
     with _sink(out_path) as fh:
+        results = run_checks(preset, p=int(p))
+        passed = sum(1 for result in results if result.passed)
         for result in results:
             line = f"{'PASS' if result.passed else 'FAIL'} {result.name}"
             if not result.passed and result.detail:

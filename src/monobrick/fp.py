@@ -122,17 +122,18 @@ def subspaces(d: int, p: int) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
     out: list[tuple[Matrix, tuple[int, ...]]] = [((), ())]
     for k in range(1, d + 1):
         for pivots in combinations(range(d), k):
-            free_positions = [
-                (r, c)
-                for r in range(k)
-                for c in range(d)
-                if c > pivots[r] and c not in pivots
-            ]
-            for values in product(range(p), repeat=len(free_positions)):
-                rows = [[0] * d for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = 1
-                for (r, c), val in zip(free_positions, values):
-                    rows[r][c] = val
-                out.append((tuple(tuple(row) for row in rows), pivots))
+            # Row r holds 1 at its pivot and any value at each later
+            # non-pivot column; rows vary last-row fastest.
+            choices = []
+            for c in pivots:
+                free = [c2 for c2 in range(c + 1, d) if c2 not in pivots]
+                row_choices = []
+                for values in product(range(p), repeat=len(free)):
+                    row = [0] * d
+                    row[c] = 1
+                    for c2, val in zip(free, values):
+                        row[c2] = val
+                    row_choices.append(tuple(row))
+                choices.append(row_choices)
+            out.extend((rows, pivots) for rows in product(*choices))
     return tuple(out)

@@ -22,7 +22,11 @@ union of its quotients.  ``filt``, ``simp`` and the extension flag then share
 one split predicate, ``_splits_in``: some pair mask lies inside the set.  The
 other closure flags are ANDs and ORs of the unions.  ``filt`` (generator
 mask to closure) and ``closure_flags`` (set mask to flags) are memoised per
-oracle, after the set has been checked.
+oracle, after the set has been checked.  ``subset_closures`` closes every
+subset of a generator list, each grown from the closure of a smaller subset
+by ``_extend_filt``: a member can join a closed set only through a split
+that meets the new members, so it forward-chains over watch lists that
+name, for each member, the split masks containing it.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -37,8 +41,14 @@ every source and every target subspace, and per pair of classes an interned
 block-pair id or a sentinel for unstable pairs.  At a vertex, subspaces of
 one dimension with the same class in every table there are interchangeable,
 so a member's table walks one subspace per such vertex class, vertex by
-vertex, drops a tuple at the first unstable arrow, and assembles the sub-
-and quotient representations from looked-up blocks before identifying them.
+vertex, and drops a tuple at the first unstable arrow.  The tables read the
+subspaces of F_p^d through frames cached per (d, p): pivots, non-pivot
+columns, the basis and the ids of its rows, so each table maps every
+distinct basis row once and reduces its rows inline.  The
+two halves of every block pair are interned on their own, and a leaf's sub-
+and quotient representation are identified once per oracle, memoised on
+their dimensions and the half ids of their blocks; only a new one is
+assembled from the blocks and handed to ``identify``.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from monobrick import fp
@@ -124,6 +135,44 @@ def _subspace_dims(d: int, p: int) -> array:
     return array("B", (len(pivots) for _, pivots in fp.subspaces(d, p)))
 
 
+class _Frame(NamedTuple):
+    """What an arrow table reads of one subspace of F_p^d."""
+
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]  # the non-pivot columns
+    basis: fp.Matrix  # the reduced echelon basis, row r pivoting at pivots[r]
+    row_ids: tuple[int, ...]  # each basis row's index in ``_basis_rows``
+
+
+@lru_cache(maxsize=None)
+def _basis_rows(d: int, p: int) -> tuple[fp.Vector, ...]:
+    """Every distinct basis row of the subspaces of F_p^d."""
+    return tuple(dict.fromkeys(u for basis, _ in fp.subspaces(d, p) for u in basis))
+
+
+@lru_cache(maxsize=None)
+def _frames(d: int, p: int) -> tuple[_Frame, ...]:
+    """The frame of every subspace of F_p^d, in ``fp.subspaces`` order."""
+    row_id = {u: k for k, u in enumerate(_basis_rows(d, p))}
+    free_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frames = []
+    for basis, pivots in fp.subspaces(d, p):
+        free = free_of.get(pivots)
+        if free is None:
+            free = free_of[pivots] = tuple(c for c in range(d) if c not in pivots)
+        row_ids = tuple(map(row_id.__getitem__, basis))
+        frames.append(_Frame(pivots, free, basis, row_ids))
+    return tuple(frames)
+
+
+def _indices(mask: int):
+    """Yield the index of every set bit of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _unpack_element(
     flat: tuple[int, ...], x_dims: tuple[int, ...], y_dims: tuple[int, ...]
 ) -> tuple[fp.Matrix, ...]:
@@ -175,6 +224,11 @@ class Oracle:
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
         self._blocks: list[tuple[fp.Matrix, fp.Matrix]] = []
         self._block_ids: dict[tuple[fp.Matrix, fp.Matrix], int] = {}
+        # Each block's (sub half, quotient half) as ids of distinct matrices,
+        # and the member identified for (dimensions, half ids) of a walk leaf.
+        self._block_halves: list[tuple[int, int]] = []
+        self._half_ids: dict[fp.Matrix, int] = {}
+        self._leaf_members: dict[tuple[tuple[int, ...], tuple[int, ...]], Member] = {}
 
         self._indec_hom = tuple(
             tuple(
@@ -187,6 +241,7 @@ class Oracle:
         self._bit = {m: 1 << i for i, m in enumerate(self.members)}
         self._masks: list[_MemberMasks | None] = [None] * len(self.members)
         self._filt_memo: dict[int, frozenset[Member]] = {}
+        self._watch: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = {m: self.dim_of(m) for m in self.members}
         self._by_dims: dict[tuple[int, ...], list[Member]] = {}
@@ -427,48 +482,54 @@ class Oracle:
             return table
         p = self.p
         blocks, block_ids = self._blocks, self._block_ids
-        image_of: dict[fp.Vector, fp.Vector] = {}  # subspaces share basis rows
+        halves, half_ids = self._block_halves, self._half_ids
+        # Subspaces share basis rows, so each row's image is computed once.
+        images_of = [fp.vec_mat(u, mat, p) for u in _basis_rows(d_s, p)]
         sources: dict = {}  # (pivots, images) -> class, a representative basis
         source_class = array("i")
-        for basis, pivots in fp.subspaces(d_s, p):
-            for u in basis:
-                if u not in image_of:
-                    image_of[u] = fp.vec_mat(u, mat, p)
-            images = tuple(map(image_of.__getitem__, basis))
-            source_class.append(
-                sources.setdefault((pivots, images), (len(sources), basis))[0]
-            )
+        for pivots, _, basis, row_ids in _frames(d_s, p):
+            source = (pivots, tuple(map(images_of.__getitem__, row_ids)))
+            found = sources.get(source)
+            if found is None:
+                found = sources[source] = (len(sources), basis)
+            source_class.append(found[0])
         # (pivots, rows reduced modulo the space at its non-pivots) -> class,
-        # the same numbers by column
+        # the same numbers by column.  Basis rows are in reduced echelon
+        # form, so clearing one pivot leaves the others as they were.
         targets: dict = {}
         target_class = array("i")
-        for basis, pivots in fp.subspaces(d_t, p):
-            free = [c for c in range(d_t) if c not in pivots]
-            reduced = tuple(
-                tuple(r[c] for c in free)
-                for r in (fp.reduce_vec(row, basis, pivots, p) for row in mat)
-            )
-            target_class.append(
-                targets.setdefault(
-                    (pivots, reduced), (len(targets), tuple(zip(*reduced)))
-                )[0]
-            )
+        for pivots, free, basis, _ in _frames(d_t, p):
+            reduced = []
+            for row in mat:
+                for c, u in zip(pivots, basis):
+                    f = row[c]
+                    if f:
+                        row = [(a - f * b) % p for a, b in zip(row, u)]
+                reduced.append(tuple([row[c] for c in free]))
+            target = (pivots, tuple(reduced))
+            found = targets.get(target)
+            if found is None:
+                found = targets[target] = (len(targets), tuple(zip(*reduced)))
+            target_class.append(found[0])
 
         def entry(pivots_s, images, basis_s, pivots_t, reduced, columns) -> int:
             # Reduction modulo the target is linear, so u M lies in it iff
             # u times the reduced rows vanishes.
             for u in basis_s:
                 for col in columns:
-                    if sum(x * y for x, y in zip(u, col)) % p:
+                    if sum(map(mul, u, col)) % p:
                         return _UNSTABLE
             pair = (
-                tuple(tuple(im[c] for c in pivots_t) for im in images),
+                tuple([tuple([im[c] for c in pivots_t]) for im in images]),
                 tuple(row for c, row in enumerate(reduced) if c not in pivots_s),
             )
             bid = block_ids.get(pair)
             if bid is None:
                 bid = block_ids[pair] = len(blocks)
                 blocks.append(pair)
+                halves.append(tuple(
+                    half_ids.setdefault(half, len(half_ids)) for half in pair
+                ))
             return bid
 
         entries = array("i", [
@@ -549,22 +610,27 @@ class Oracle:
         total = rep.total_dim
         chosen = [None] * nv
         ids = [0] * len(arrows)
-        seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        halves, leaf_members = self._block_halves, self._leaf_members
         pairs = {(ZERO, member), (member, ZERO)}
+
+        def identified(dims: tuple[int, ...], side: int) -> Member:
+            # A leaf's sub (side 0) or quotient (side 1) is determined by its
+            # dimensions and the ids of its blocks' halves.
+            key = (dims, tuple([halves[b][side] for b in ids]))
+            found = leaf_members.get(key)
+            if found is None:
+                found = leaf_members[key] = self.identify(
+                    Rep(dims, tuple(blocks[b][side] for b in ids))
+                )
+            return found
 
         def walk(v: int) -> None:
             if v == nv:
-                sub_dims = tuple(c[0] for c in chosen)
-                key = (sub_dims, tuple(ids))
-                if sum(sub_dims) in (0, total) or key in seen:
+                sub_dims = tuple([c[0] for c in chosen])
+                if sum(sub_dims) in (0, total):
                     return
-                seen.add(key)
-                sub = Rep(sub_dims, tuple(blocks[b][0] for b in ids))
-                quot = Rep(
-                    tuple(d - k for d, k in zip(dims, sub_dims)),
-                    tuple(blocks[b][1] for b in ids),
-                )
-                pairs.add((self.identify(sub), self.identify(quot)))
+                quot_dims = tuple([d - k for d, k in zip(dims, sub_dims)])
+                pairs.add((identified(sub_dims, 0), identified(quot_dims, 1)))
                 return
             for c in classes[v]:
                 chosen[v] = c
@@ -747,6 +813,56 @@ class Oracle:
                 hit = self._filt_memo[result] = self._members_of(result)
             self._filt_memo[key] = hit
         return hit
+
+    def _watch_lists(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """For each member ``j``, the members ``i`` and split masks of ``i``
+        that contain ``j``, as two parallel tuples; built once per oracle."""
+        if self._watch is None:
+            members: list[list[int]] = [[] for _ in self.members]
+            masks: list[list[int]] = [[] for _ in self.members]
+            for i in range(len(self.members)):
+                for pm in self._member_masks(i).splits:
+                    for j in _indices(pm):
+                        members[j].append(i)
+                        masks[j].append(pm)
+            self._watch = [(tuple(m), tuple(pms)) for m, pms in zip(members, masks)]
+        return self._watch
+
+    def _extend_filt(self, closed: int, new: int) -> int:
+        """Mask of ``filt`` of the extension-closed mask ``closed`` together
+        with the members in the mask ``new``, memoised like ``_filt_of``.
+
+        Every split mask inside ``closed`` already has its member in it, so
+        a member can only join through a split that meets what was added:
+        each member added is followed by testing just its watch list.
+        """
+        watch = self._watch_lists()
+        result = closed | new
+        todo = list(_indices(new & ~closed))
+        while todo:
+            for i, pm in zip(*watch[todo.pop()]):
+                if not result >> i & 1 and pm & result == pm:
+                    result |= 1 << i
+                    todo.append(i)
+        if result not in self._filt_memo:
+            self._filt_memo[result] = self._members_of(result)
+        return result
+
+    def subset_closures(self, gens) -> list[frozenset[Member]]:
+        """``filt`` of every subset of ``gens``, subset ``bits`` at position
+        ``bits`` (generator ``i`` in it iff bit ``i`` is set).
+
+        Each closure grows from the closure of its subset without the top
+        generator, which comes earlier in this order.
+        """
+        gens = list(gens)
+        self._require_subcat({ZERO, *gens})
+        bits = [self._bit[g] for g in gens]
+        masks = [self._extend_filt(0, self._bit[ZERO])]
+        for subset in range(1, 1 << len(bits)):
+            top = subset.bit_length() - 1
+            masks.append(self._extend_filt(masks[subset ^ 1 << top], bits[top]))
+        return [self._filt_memo[m] for m in masks]
 
     def _simple_indices(self, inside: list[int], mask: int) -> list[int]:
         """The members among ``inside`` with no split in ``mask``, except

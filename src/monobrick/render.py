@@ -11,6 +11,8 @@ span first, and taller arcs are painted before lower ones so a leg is
 never overwritten by a neighbouring bar.
 """
 
+from bisect import bisect_right
+
 from monobrick.arcs import arc_length, reduce_mark
 from monobrick.diagrams import Diagram
 
@@ -48,22 +50,33 @@ def _spans(diagram: Diagram) -> list[tuple[int, int]]:
 def _assign_levels(
     spans: list[tuple[int, int]], max_levels: int
 ) -> list[tuple[int, int, int]]:
-    occupied: list[list[tuple[int, int]]] = []
+    """Put each span on the lowest level where it meets no span, in order.
+
+    The spans of a level are disjoint, so they are kept sorted as parallel
+    lists of starts and ends: a span meets the level iff the last span that
+    starts at or before its end also ends at or after its start.
+    """
+    starts: list[list[int]] = []
+    ends: list[list[int]] = []
     placed = []
     for start, end in spans:
         level = 0
-        while level < len(occupied) and any(
-            not (end < s or e < start) for s, e in occupied[level]
-        ):
+        while level < len(starts):
+            at = bisect_right(starts[level], end)
+            if not at or ends[level][at - 1] < start:
+                break
             level += 1
-        if level == len(occupied):
+        else:
             if level == max_levels:
                 raise PictureTooLarge(
                     f"picture needs more than {max_levels} arc levels at its "
                     f"width, over the render cap of {CELL_CAP} cells"
                 )
-            occupied.append([])
-        occupied[level].append((start, end))
+            starts.append([])
+            ends.append([])
+            at = 0
+        starts[level].insert(at, start)
+        ends[level].insert(at, end)
         placed.append((start, end, level + 1))
     return placed
 

@@ -456,6 +456,26 @@ def check_structural_identities(oracle: Oracle) -> CheckResult:
     return _result("structural-identities", problems)
 
 
+def schur_verdicts(
+    oracle: Oracle, bricks: tuple[Member, ...]
+) -> dict[frozenset[Member], tuple[int, bool, bool]]:
+    """The filtration closure of every subset of ``bricks``, each distinct
+    one mapped to (the first subset that generates it, whether it is
+    one-sided Schur, whether it is closed under extensions, kernels and
+    images).
+
+    A subset is a bit mask over ``bricks``, and subsets come in the order
+    of their masks.
+    """
+    verdicts: dict[frozenset[Member], tuple[int, bool, bool]] = {}
+    for bits, e in enumerate(oracle.subset_closures(bricks)):
+        if e not in verdicts:
+            flags = oracle.closure_flags(e)
+            closed = flags.extensions and flags.kernels and flags.images
+            verdicts[e] = (bits, oracle.is_left_schur(e), closed)
+    return verdicts
+
+
 def check_left_schur(oracle: Oracle) -> CheckResult:
     """One-sided Schur condition versus extension/kernel/image closure.
 
@@ -467,16 +487,9 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
     name = oracle.preset.name
     bricks = oracle.brick_members()
     problems = []
-    verdicts: dict[frozenset[Member], tuple[bool, bool]] = {}
-    for bits in range(1 << len(bricks)):
-        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
-        e = oracle.filt(gens)
-        if e in verdicts:
-            continue
-        flags = oracle.closure_flags(e)
-        closed = flags.extensions and flags.kernels and flags.images
-        schur = oracle.is_left_schur(e)
-        verdicts[e] = (schur, closed)
+    verdicts = schur_verdicts(oracle, bricks)
+    for bits, schur, closed in verdicts.values():
+        gens = (b for i, b in enumerate(bricks) if bits >> i & 1)
         label = f"filt({_fmt(_names(gens))})"
         if oracle.preset.arc_algebra is not None:
             if schur != closed:
@@ -486,7 +499,7 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
         elif closed and not schur:
             problems.append(f"{label}: closed under kernels and images, not schur")
 
-    n_schur = sum(1 for schur, _ in verdicts.values() if schur)
+    n_schur = sum(1 for _, schur, _ in verdicts.values() if schur)
     want = EXPECTED_COUNTS[name].monobricks
     if n_schur != want:
         problems.append(
@@ -501,7 +514,7 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
         }
         got_violations = {
             frozenset(_names(oracle.simp(e)))
-            for e, (schur, closed) in verdicts.items()
+            for e, (_, schur, closed) in verdicts.items()
             if schur and not closed
         }
         if got_violations != expected_violations:
@@ -510,7 +523,7 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
                 f"{sorted(map(_fmt, got_violations))}, expected "
                 f"{sorted(map(_fmt, expected_violations))}"
             )
-        n_closed = sum(1 for _, closed in verdicts.values() if closed)
+        n_closed = sum(1 for _, _, closed in verdicts.values() if closed)
         if n_closed != want - len(expected_violations):
             problems.append(
                 f"{n_closed} kernel/image closed subcategories, expected "

@@ -6,10 +6,35 @@ for one pair of subspaces on its own: test that the matrix maps the source
 subspace into the target one, then read off the sub block and the quotient
 block.  Tests compare the two on every pair of subspaces.  The sub block
 and the brute-force subquotients read coordinates over an RREF basis with
-:func:`coords_in_span`, which the package itself never needs.
+:func:`coords_in_span`, which the package itself never needs.  The
+subspaces themselves are listed a second way by :func:`literal_subspaces`.
 """
 
+from itertools import combinations, product
+
 from monobrick import fp
+
+
+def literal_subspaces(d, p):
+    """Every subspace of F_p^d as (RREF basis, pivots), one free entry of
+    the whole basis at a time, in the order ``fp.subspaces`` promises."""
+    out = [((), ())]
+    for k in range(1, d + 1):
+        for pivots in combinations(range(d), k):
+            free_positions = [
+                (r, c)
+                for r in range(k)
+                for c in range(d)
+                if c > pivots[r] and c not in pivots
+            ]
+            for values in product(range(p), repeat=len(free_positions)):
+                rows = [[0] * d for _ in range(k)]
+                for r in range(k):
+                    rows[r][pivots[r]] = 1
+                for (r, c), val in zip(free_positions, values):
+                    rows[r][c] = val
+                out.append((tuple(tuple(row) for row in rows), pivots))
+    return tuple(out)
 
 
 def coords_in_span(vec, basis, pivots, p):

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import monobrick
-from monobrick import cli, diagrams, poset, presets, render
+from monobrick import cli, diagrams, poset, presets, render, verify
 from monobrick.arcs import Algebra
 from monobrick.diagrams import arc_table, diagram_to_json, enumerate_diagrams
 from monobrick.verify import EXPECTED_COUNTS, CheckResult
@@ -808,6 +809,32 @@ def test_oracle_verify_reports_failures(runner, monkeypatch):
     assert "1 of 2 checks passed" in lines
 
 
+def test_oracle_verify_opens_out_before_any_audit(runner, tmp_path, monkeypatch):
+    def refuse(preset, p=2):
+        raise AssertionError("an audit ran before --out was opened")
+
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    target = tmp_path / "missing" / "x.txt"
+    args = ["oracle", "verify", "--preset", "b3", "-p", "5", "--out", str(target)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert f"cannot write --out {target}" in result.stderr
+
+
+def test_oracle_verify_writes_a_failing_audit_to_out(runner, tmp_path, monkeypatch):
+    stub = [CheckResult("census", False, "wrong count"), CheckResult("ok", True)]
+    monkeypatch.setattr(verify, "run_checks", lambda preset, p=2: stub)
+    target = tmp_path / "verdicts.txt"
+    args = ["oracle", "verify", "--preset", "nak2", "--out", str(target)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert target.read_text() == (
+        "FAIL census: wrong count\nPASS ok\n1 of 2 checks passed\n"
+    )
+
+
 def test_cli_import_leaves_the_oracle_stack_unloaded():
     proc = run_module("-c", "import sys, monobrick.cli; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -950,6 +977,20 @@ def test_render_takes_a_picture_at_the_cell_cap_and_refuses_a_larger_one(runner)
         assert over.exit_code == 3, over.exception
         assert over.stdout == ""
         assert f"render cap of {render.CELL_CAP} cells" in over.stderr
+
+
+def test_render_places_many_short_arcs_quickly(runner):
+    # 9,999 arcs on A9999 need two levels; first fit used to scan every
+    # span already on a level, for seconds of work.
+    arcs = [[i, i + 1] for i in range(1, 10000)]
+    payload = json.dumps({"n": 9999, "algebra": "A", "arcs": arcs})
+    began = time.perf_counter()
+    result = invoke(runner, ["render"], input=payload)
+    assert time.perf_counter() - began < 1.0
+    rows = result.stdout.splitlines()
+    assert len(rows) == 3
+    assert rows[0].startswith("    .___.   .___.")
+    assert rows[1].startswith(".___|   |___|   |___")
 
 
 def test_render_help_states_the_cell_cap(runner):

@@ -13,6 +13,7 @@ from monobrick.arcs import hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
 from monobrick.oracle import ZERO, ClosureFlags, Oracle, OracleError, get_oracle
 from monobrick.presets import PRESET_NAMES, get_preset
+from monobrick.verify import schur_verdicts
 
 ALL = list(PRESET_NAMES)
 BRIDGED = ["a3_linear", "nak2", "b3"]
@@ -469,6 +470,57 @@ def test_subcategory_layer_matches_the_frozenset_route(name):
             assert oracle.simp(s) == literal_simp(oracle, s), sorted(s)
             assert oracle.is_left_schur(s) == literal_is_left_schur(oracle, s)
             assert oracle.w_map(s) == literal_w_map(oracle, s), sorted(s)
+
+
+@pytest.mark.parametrize("name,p", [(name, 2) for name in ALL] + [("b3", 3)])
+def test_subset_closures_match_the_frozenset_route(name, p):
+    oracle = get_oracle(name, p=p)
+    bricks = oracle.brick_members()
+    closures = oracle.subset_closures(bricks)
+    assert len(closures) == 1 << len(bricks)
+    for bits, e in enumerate(closures):
+        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
+        assert e == literal_filt(oracle, gens), sorted(gens)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_extend_filt_matches_filt_of_the_union(data):
+    oracle = get_oracle("a3_linear")
+    draw_members = st.lists(st.sampled_from(oracle.members), max_size=4)
+    closed = oracle.filt(data.draw(draw_members))
+    new = frozenset(data.draw(draw_members))
+    got = oracle._extend_filt(oracle._mask_of(closed), oracle._mask_of(new))
+    assert oracle._members_of(got) == oracle.filt(closed | new)
+
+
+def test_subset_closures_refuse_strangers():
+    oracle = get_oracle("nak2")
+    with pytest.raises(OracleError, match="outside"):
+        oracle.subset_closures([("1",), ("2/1",) * 9])
+
+
+def literal_schur_sweep(oracle):
+    """The 2^k sweep with every closure built from scratch."""
+    bricks = oracle.brick_members()
+    verdicts = {}
+    for bits in range(1 << len(bricks)):
+        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
+        e = oracle.filt(gens)
+        if e in verdicts:
+            continue
+        flags = oracle.closure_flags(e)
+        closed = flags.extensions and flags.kernels and flags.images
+        verdicts[e] = (bits, oracle.is_left_schur(e), closed)
+    return verdicts
+
+
+@pytest.mark.parametrize("name,p", [(name, 2) for name in ALL] + [("b3", 3)])
+def test_schur_verdicts_match_the_sweep_from_scratch(name, p):
+    want = literal_schur_sweep(Oracle(get_preset(name, p)))
+    oracle = Oracle(get_preset(name, p))
+    got = schur_verdicts(oracle, oracle.brick_members())
+    assert list(got.items()) == list(want.items())
 
 
 def test_memoised_results_ignore_how_a_set_is_passed():

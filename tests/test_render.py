@@ -1,8 +1,12 @@
 """Layout rules of the ASCII renderer."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from monobrick.arcs import Algebra, Arc
 from monobrick.diagrams import Diagram
-from monobrick.render import render_diagram
+from monobrick.render import PictureTooLarge, _assign_levels, render_diagram
 
 
 def _draw(algebra, arcs):
@@ -52,3 +56,41 @@ def test_two_digit_marks_stay_aligned():
     assert lines[-1].endswith("10  11")
     # The bracket sits over column of mark 10.
     assert lines[0][36] == "." and lines[0][40] == "."
+
+
+def literal_assign_levels(spans, max_levels):
+    """First fit with a scan of every span on a level, as a second route."""
+    occupied = []
+    placed = []
+    for start, end in spans:
+        level = 0
+        while level < len(occupied) and any(
+            not (end < s or e < start) for s, e in occupied[level]
+        ):
+            level += 1
+        if level == len(occupied):
+            if level == max_levels:
+                raise PictureTooLarge("too many levels")
+            occupied.append([])
+        occupied[level].append((start, end))
+        placed.append((start, end, level + 1))
+    return placed
+
+
+@st.composite
+def spans_and_cap(draw):
+    pairs = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 12))))
+    return [(s, s + w) for s, w in pairs], draw(st.integers(1, 8))
+
+
+@given(spans_and_cap())
+@settings(max_examples=300, deadline=None)
+def test_level_assignment_matches_the_scan_of_every_span(data):
+    spans, max_levels = data
+    try:
+        want = literal_assign_levels(spans, max_levels)
+    except PictureTooLarge:
+        with pytest.raises(PictureTooLarge):
+            _assign_levels(spans, max_levels)
+    else:
+        assert _assign_levels(spans, max_levels) == want

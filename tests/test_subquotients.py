@@ -9,15 +9,16 @@ every representation handed to ``identify``.  The class tables themselves
 are checked against ``literal_entry`` on every pair of subspaces.
 """
 
+import hashlib
 import itertools
 from array import array
 from functools import lru_cache
 
 import pytest
-from literal_tables import coords_in_span, literal_entry
+from literal_tables import coords_in_span, literal_entry, literal_subspaces
 
 from monobrick import fp
-from monobrick.oracle import _UNSTABLE, ZERO, Oracle
+from monobrick.oracle import _UNSTABLE, ZERO, Oracle, get_oracle
 from monobrick.presets import PRESET_NAMES, Rep, get_preset
 from monobrick.verify import run_checks
 
@@ -115,6 +116,13 @@ def test_both_routes_hand_identify_the_same_reps(name, p):
     assert from_tables == from_brute
 
 
+@pytest.mark.parametrize(
+    "d,p", [(d, p) for p in (2, 3, 5) for d in range(6)] + [(6, 2)]
+)
+def test_subspaces_match_the_literal_listing(d, p):
+    assert fp.subspaces(d, p) == literal_subspaces(d, p)
+
+
 def test_arrow_table_layout_for_the_identity():
     # F_2^1 has the subspaces 0 and F, each its own class on both sides; the
     # identity maps F into 0 only when the pair is (F, 0), the one unstable
@@ -177,3 +185,26 @@ EXPECTED_CHECKS = {
 def test_run_checks_verdicts_are_pinned(name, p):
     got = [(r.name, r.passed, r.detail) for r in run_checks(name, p)]
     assert got == [(check, True, "") for check in EXPECTED_CHECKS[name]]
+
+
+# sha256 over every member's sorted subquotient table, one line per member
+# in universe order.  Members are named, so the digest does not depend on
+# the field.
+TABLE_DIGESTS = {
+    "a2_linear": "b23bce07013f706f13d923330da5dd897bea80098188eeb7f098f8225a0f54dc",
+    "a3_linear": "fddc8b06d66f89808be2ee130db6c2759bfd208e1d2ed7d76912528b628edad0",
+    "a3_source": "597e2c9b7141fa6ab953b8c2479e8be0dc4c846e13fecd1f8ffc73d532241db5",
+    "nak2": "b8ffde08971e921b7b1adc86c5ce2204182154cb45687cd4dc433cd2ac93e91a",
+    "b3": "5e4934c6299f93173f61bd716ee02ed65722f0aac349a6b7db7db8da93397c1b",
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_subquotient_tables_are_pinned(name, p):
+    oracle = get_oracle(name, p=p)
+    digest = hashlib.sha256()
+    for member in oracle.members:
+        line = repr((member, sorted(oracle.subquotients(member))))
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == TABLE_DIGESTS[name]
