@@ -256,7 +256,7 @@ def check_budget(algebra: Algebra, budget: int | None = None) -> None:
         )
 
 
-def _bits(mask: int) -> tuple[int, ...]:
+def bit_indices(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
     found = []
     while mask:
@@ -336,7 +336,7 @@ class ArcTable:
         """Ascending index tuples of every diagram of ``kind``, in lex order."""
         if kind is not DiagramKind.COFINALLY_CLOSED:
             return iter_index_cliques(self.adjacency[kind])
-        return iter(sorted(map(_bits, self.closed_masks())))
+        return iter(sorted(map(bit_indices, self.closed_masks())))
 
 
 @functools.lru_cache(maxsize=16)

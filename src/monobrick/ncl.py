@@ -113,8 +113,42 @@ def _pair_violation(e: tuple[int, ...], f: tuple[int, ...]) -> str | None:
     return None
 
 
+def _first_reaching(ends: list[int]):
+    """``first(lo, hi, t)``: the least ``k`` in ``lo..hi-1`` with
+    ``ends[k] >= t``, or ``hi``.
+
+    ``levels[h][k]`` is the largest of ``ends[k : k + 2**h]``, so a run of
+    ends below ``t`` is skipped in at most one stride per level.
+    """
+    levels = [ends]
+    width = 1
+    while 2 * width <= len(ends):
+        prev = levels[-1]
+        levels.append([max(prev[k], prev[k + width]) for k in range(len(prev) - width)])
+        width *= 2
+
+    def first(lo: int, hi: int, t: int) -> int:
+        for h in range(len(levels) - 1, -1, -1):
+            if lo + (1 << h) <= hi and levels[h][lo] < t:
+                lo += 1 << h
+        return lo
+
+    return first
+
+
 def violation(partition: NclPartition) -> str | None:
-    """First broken condition as a message starting with NCL1/NCL2/NCL3, or None."""
+    """First broken condition as a message starting with NCL1/NCL2/NCL3, or None.
+
+    Blocks are checked pairwise in canonical order, but a block ``e`` is
+    checked only against the later blocks ``f`` that can fail with it.  A
+    later block starts at or after ``e`` does.  If it starts past the end of
+    ``e`` or inside a gap between two marks of ``e`` and ends before the
+    gap's right end, the two share no mark and cannot interleave.  If it
+    starts inside a gap and reaches its right end, it interleaves with
+    ``e`` or shares that end as a mark neither block starts at, so only the
+    first such block of a gap is needed.  The rest start at a mark of ``e``,
+    at most one per mark unless the partition is broken.
+    """
     covered: set[int] = set()
     for block in partition.blocks:
         covered |= block
@@ -122,18 +156,27 @@ def violation(partition: NclPartition) -> str | None:
     if covered != ground:
         missing = sorted(ground - covered)
         return f"NCL1: marks {missing} are not covered by any block"
-    # In canonical order a later block f never starts before e does, so once
-    # f starts past the end of e, it and every block after it lie wholly to
-    # the right of e: no interleaving, no shared mark, nothing to check.
     blocks = partition.canonical()
+    starts = [b[0] for b in blocks]
+    reaching = _first_reaching([b[-1] for b in blocks])
     for i, e in enumerate(blocks):
-        for k in range(i + 1, len(blocks)):
-            f = blocks[k]
-            if f[0] > e[-1]:
+        lo = i + 1
+        for j, mark in enumerate(e):
+            # the later blocks that start at this mark
+            hi = bisect_right(starts, mark, lo)
+            for k in range(lo, hi):
+                message = _pair_violation(e, blocks[k])
+                if message:
+                    return message
+            if j + 1 == len(e):
                 break
-            message = _pair_violation(e, f)
-            if message:
-                return message
+            # the blocks that start in the gap up to the next mark
+            right = e[j + 1]
+            gap_end = bisect_left(starts, right, hi)
+            k = reaching(hi, gap_end, right)
+            if k < gap_end:
+                return _pair_violation(e, blocks[k])
+            lo = gap_end
     return None
 
 

@@ -2,9 +2,10 @@
 
 Members of the model are multisets of indecomposable names (``()`` is the
 zero module), kept up to a total dimension bound.  Identification of an
-arbitrary representation works by dimension vector plus hom-dimension
-fingerprint against the indecomposables; the fingerprint table is checked
-for collisions up front so a lookup can never be ambiguous.
+arbitrary representation works by dimension vector plus a hom-dimension
+fingerprint: the dimensions of its homs into each indecomposable, then of
+the homs out of each.  The fingerprint table is checked for collisions up
+front so a lookup can never be ambiguous.
 
 Two styles of computation coexist deliberately.  Brick-level checks
 (``is_brick``, ``mono_ok`` and the censuses built on them) iterate over
@@ -18,15 +19,15 @@ Inside the subcategory layer a set of members is an ``int`` mask over
 ``Oracle.index``; public inputs and outputs stay frozensets.  Each member's
 subquotient table is turned, on first use, into masks: one per proper
 nonzero (subobject, quotient) pair, the union of its subobjects, and the
-union of its quotients.  ``filt``, ``simp`` and the extension flag then share
-one split predicate, ``_splits_in``: some pair mask lies inside the set.  The
-other closure flags are ANDs and ORs of the unions.  ``filt`` (generator
-mask to closure) and ``closure_flags`` (set mask to flags) are memoised per
-oracle, after the set has been checked.  ``subset_closures`` closes every
-subset of a generator list, each grown from the closure of a smaller subset
-by ``_extend_filt``: a member can join a closed set only through a split
-that meets the new members, so it forward-chains over watch lists that
-name, for each member, the split masks containing it.
+union of its quotients.  ``simp`` keeps the members with no pair mask inside
+the set; the other closure flags are ANDs and ORs of the unions.  One engine
+closes sets under extensions, ``_extend_filt``: a member can join a closed
+set only through a split that meets the new members, so it forward-chains
+over watch lists that name, for each member, the split masks containing it.
+``filt`` runs it from the empty mask, the extension flag asks whether a set
+is its own closure, and ``subset_closures`` grows each subset's closure from
+that of a smaller subset.  ``filt`` (generator mask to closure) and
+``closure_flags`` (set mask to flags) are memoised per oracle.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -57,13 +58,13 @@ import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple
 
 from monobrick import fp
 from monobrick.arcs import Arc, HomKind, socle_series
-from monobrick.diagrams import iter_index_cliques
+from monobrick.diagrams import bit_indices, iter_index_cliques
 from monobrick.presets import Preset, Rep, direct_sum, get_preset
 
 Member = tuple[str, ...]
@@ -165,14 +166,6 @@ def _frames(d: int, p: int) -> tuple[_Frame, ...]:
     return tuple(frames)
 
 
-def _indices(mask: int):
-    """Yield the index of every set bit of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _unpack_element(
     flat: tuple[int, ...], x_dims: tuple[int, ...], y_dims: tuple[int, ...]
 ) -> tuple[fp.Matrix, ...]:
@@ -218,7 +211,6 @@ class Oracle:
         self._order = {n: i for i, n in enumerate(preset.indec_names)}
         self._rep_cache: dict[Member, Rep] = {}
         self._summand_cache: dict[Member, tuple[tuple[int, int], ...]] = {}
-        self._identify_cache: dict[Rep, Member] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
@@ -247,8 +239,7 @@ class Oracle:
         self._by_dims: dict[tuple[int, ...], list[Member]] = {}
         for m in self.members:
             self._by_dims.setdefault(self.dims_of(m), []).append(m)
-        self._fingerprint_to: dict[Member, tuple[int, ...]] = {}
-        self._fingerprint_from: dict[Member, tuple[int, ...]] = {}
+        self._fingerprints: dict[Member, tuple[int, ...]] = {}
         self._check_fingerprints()
         self._check_simples()
 
@@ -294,11 +285,11 @@ class Oracle:
         indecs = [(n,) for n in self.preset.indec_names]
         seen: dict[tuple, Member] = {}
         for m in self.members:
-            to = tuple(self.hom_dim(m, n) for n in indecs)
-            frm = tuple(self.hom_dim(n, m) for n in indecs)
-            self._fingerprint_to[m] = to
-            self._fingerprint_from[m] = frm
-            key = (self.dims_of(m), to, frm)
+            fingerprint = tuple(self.hom_dim(m, n) for n in indecs) + tuple(
+                self.hom_dim(n, m) for n in indecs
+            )
+            self._fingerprints[m] = fingerprint
+            key = (self.dims_of(m), fingerprint)
             if key in seen:
                 raise OracleError(
                     f"fingerprint collision between {seen[key]} and {m}"
@@ -317,13 +308,9 @@ class Oracle:
     # ------------------------------------------------------------------
     # hom spaces
 
-    def _hom_system(self, x: Rep, y: Rep) -> tuple[list[tuple[int, ...]], int, list[int]]:
-        nv = len(x.dims)
-        offsets = []
-        total = 0
-        for v in range(nv):
-            offsets.append(total)
-            total += x.dims[v] * y.dims[v]
+    def _hom_system(self, x: Rep, y: Rep) -> tuple[list[tuple[int, ...]], int]:
+        offsets = [0, *itertools.accumulate(map(mul, x.dims, y.dims))]
+        total = offsets.pop()
         rows = []
         p = self.p
         for a, (s, t) in enumerate(self.preset.arrows):
@@ -341,14 +328,14 @@ class Oracle:
                         ) % p
                     if any(row):
                         rows.append(tuple(row))
-        return rows, total, offsets
+        return rows, total
 
     def _hom_dim_reps(self, x: Rep, y: Rep) -> int:
-        rows, total, _ = self._hom_system(x, y)
+        rows, total = self._hom_system(x, y)
         return total - fp.rank(rows, self.p)
 
     def _hom_basis_reps(self, x: Rep, y: Rep) -> list[tuple[fp.Matrix, ...]]:
-        rows, total, _ = self._hom_system(x, y)
+        rows, total = self._hom_system(x, y)
         flats = fp.kernel_basis(tuple(rows), total, self.p)
         return [_unpack_element(f, x.dims, y.dims) for f in flats]
 
@@ -402,28 +389,23 @@ class Oracle:
     # ------------------------------------------------------------------
     # identification
 
+    def _fingerprint_entries(self, rep: Rep):
+        """Yield the dimension of the homs from ``rep`` into each
+        indecomposable, then into ``rep`` from each, one system at a time."""
+        indecs = self.preset.indec_reps
+        yield from (self._hom_dim_reps(rep, r) for r in indecs)
+        yield from (self._hom_dim_reps(r, rep) for r in indecs)
+
     def identify(self, rep: Rep, strict: bool = False) -> Member:
-        if not strict:
-            hit = self._identify_cache.get(rep)
-            if hit is not None:
-                return hit
-        candidates = list(self._by_dims.get(rep.dims, ()))
-        if candidates and len(candidates) > 1:
-            for j, indec_rep in enumerate(self.preset.indec_reps):
-                d = self._hom_dim_reps(rep, indec_rep)
-                candidates = [
-                    m for m in candidates if self._fingerprint_to[m][j] == d
-                ]
+        """The member of ``rep``'s dimensions left by its fingerprint, read
+        entry by entry; ``strict`` also compares the whole fingerprint."""
+        candidates = self._by_dims.get(rep.dims, [])
+        fingerprints = self._fingerprints
+        if len(candidates) > 1:
+            for j, d in enumerate(self._fingerprint_entries(rep)):
+                candidates = [m for m in candidates if fingerprints[m][j] == d]
                 if len(candidates) <= 1:
                     break
-            if len(candidates) > 1:
-                for j, indec_rep in enumerate(self.preset.indec_reps):
-                    d = self._hom_dim_reps(indec_rep, rep)
-                    candidates = [
-                        m for m in candidates if self._fingerprint_from[m][j] == d
-                    ]
-                    if len(candidates) <= 1:
-                        break
         if len(candidates) != 1:
             raise OracleError(
                 f"representation with dimensions {rep.dims} matches "
@@ -431,19 +413,11 @@ class Oracle:
                 "be complete"
             )
         member = candidates[0]
-        if strict:
-            to = tuple(
-                self._hom_dim_reps(rep, r) for r in self.preset.indec_reps
+        if strict and tuple(self._fingerprint_entries(rep)) != fingerprints[member]:
+            raise OracleError(
+                f"fingerprint audit failed for a representation matched "
+                f"to {member}"
             )
-            frm = tuple(
-                self._hom_dim_reps(r, rep) for r in self.preset.indec_reps
-            )
-            if to != self._fingerprint_to[member] or frm != self._fingerprint_from[member]:
-                raise OracleError(
-                    f"fingerprint audit failed for a representation matched "
-                    f"to {member}"
-                )
-        self._identify_cache[rep] = member
         return member
 
     def assert_isomorphic(self, rep: Rep, member: Member) -> None:
@@ -553,12 +527,8 @@ class Oracle:
             for s, k in zip(simples, sub_counts):
                 sub.extend([s] * k)
                 quot.extend([s] * (counts[s] - k))
-            pairs.add(
-                (
-                    tuple(sorted(sub, key=self._order.__getitem__)),
-                    tuple(sorted(quot, key=self._order.__getitem__)),
-                )
-            )
+            # both halves come out sorted, like every member
+            pairs.add((tuple(sub), tuple(quot)))
         return frozenset(pairs)
 
     def subquotients(self, member: Member) -> frozenset[tuple[Member, Member]]:
@@ -669,10 +639,14 @@ class Oracle:
             for el in self.hom_elements(member, member)
         )
 
-    def brick_members(self) -> tuple[Member, ...]:
+    @cached_property
+    def _bricks(self) -> tuple[Member, ...]:
         return tuple(
             (n,) for n in self.preset.indec_names if self.is_brick((n,))
         )
+
+    def brick_members(self) -> tuple[Member, ...]:
+        return self._bricks
 
     def mono_ok(self, x: Member, y: Member) -> bool:
         """Every hom element is zero or injective (checked element by element)."""
@@ -689,8 +663,8 @@ class Oracle:
         common = self.quotient_objects(x) & self.subobjects(y)
         return common <= {ZERO, x}
 
-    def _census(self, pair_ok) -> list[frozenset[Member]]:
-        bricks = self.brick_members()
+    def _census(self, pair_ok) -> tuple[frozenset[Member], ...]:
+        bricks = self._bricks
         adjacency = []
         for i, b in enumerate(bricks):
             mask = 0
@@ -698,16 +672,24 @@ class Oracle:
                 if i != j and pair_ok(b, c) and pair_ok(c, b):
                     mask |= 1 << j
             adjacency.append(mask)
-        return [
+        return tuple(
             frozenset(bricks[i] for i in chosen)
             for chosen in iter_index_cliques(adjacency)
-        ]
+        )
 
-    def monobricks(self) -> list[frozenset[Member]]:
+    @cached_property
+    def _monobricks(self) -> tuple[frozenset[Member], ...]:
         return self._census(self.mono_ok)
 
-    def semibricks(self) -> list[frozenset[Member]]:
+    @cached_property
+    def _semibricks(self) -> tuple[frozenset[Member], ...]:
         return self._census(lambda x, y: self.hom_dim(x, y) == 0)
+
+    def monobricks(self) -> tuple[frozenset[Member], ...]:
+        return self._monobricks
+
+    def semibricks(self) -> tuple[frozenset[Member], ...]:
+        return self._semibricks
 
     # ------------------------------------------------------------------
     # maximal elements and closure in the subobject order
@@ -771,14 +753,6 @@ class Oracle:
             self._masks[i] = masks
         return masks
 
-    def _splits_in(self, i: int, e: int) -> bool:
-        """Does some proper nonzero subobject of member ``i`` lie in the
-        mask ``e`` with its quotient?"""
-        for pm in self._member_masks(i).splits:
-            if pm & e == pm:
-                return True
-        return False
-
     def _unions(self, inside: list[int]) -> tuple[int, int]:
         """Masks of all subobjects and of all quotients of the given members."""
         subs = quots = 0
@@ -789,29 +763,16 @@ class Oracle:
         return subs, quots
 
     def filt(self, gens) -> frozenset[Member]:
-        """Close a generating set under extensions, one dimension at a time.
-
-        A member joins once some proper nonzero subobject and the matching
-        quotient are both already in; sweeping members by increasing total
-        dimension makes a single pass sufficient, because both halves of any
-        witnessing pair are strictly smaller.
-        """
+        """Close a generating set under extensions: the one closure engine,
+        ``_extend_filt``, run from the empty mask."""
         gens = self._require_subcat(set(gens) | {ZERO})
-        return self._filt_of(self._mask_of(gens))
+        return self._closure(self._mask_of(gens))
 
-    def _filt_of(self, key: int) -> frozenset[Member]:
-        """``filt`` of the set with mask ``key``, memoised.  The result is
-        closed, so it is memoised as its own closure too."""
+    def _closure(self, key: int) -> frozenset[Member]:
+        """The members of ``_extend_filt(0, key)``, memoised on ``key``."""
         hit = self._filt_memo.get(key)
         if hit is None:
-            result = key
-            for i in range(len(self.members)):
-                if not result >> i & 1 and self._splits_in(i, result):
-                    result |= 1 << i
-            hit = self._filt_memo.get(result)
-            if hit is None:
-                hit = self._filt_memo[result] = self._members_of(result)
-            self._filt_memo[key] = hit
+            hit = self._filt_memo[key] = self._filt_memo[self._extend_filt(0, key)]
         return hit
 
     def _watch_lists(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -822,15 +783,16 @@ class Oracle:
             masks: list[list[int]] = [[] for _ in self.members]
             for i in range(len(self.members)):
                 for pm in self._member_masks(i).splits:
-                    for j in _indices(pm):
+                    for j in bit_indices(pm):
                         members[j].append(i)
                         masks[j].append(pm)
             self._watch = [(tuple(m), tuple(pms)) for m, pms in zip(members, masks)]
         return self._watch
 
     def _extend_filt(self, closed: int, new: int) -> int:
-        """Mask of ``filt`` of the extension-closed mask ``closed`` together
-        with the members in the mask ``new``, memoised like ``_filt_of``.
+        """Mask of the extension closure of the extension-closed mask
+        ``closed`` and the members in the mask ``new``, the oracle's one
+        closure engine; ``_filt_memo`` gets the closure under its own mask.
 
         Every split mask inside ``closed`` already has its member in it, so
         a member can only join through a split that meets what was added:
@@ -838,7 +800,7 @@ class Oracle:
         """
         watch = self._watch_lists()
         result = closed | new
-        todo = list(_indices(new & ~closed))
+        todo = list(bit_indices(new & ~closed))
         while todo:
             for i, pm in zip(*watch[todo.pop()]):
                 if not result >> i & 1 and pm & result == pm:
@@ -865,9 +827,16 @@ class Oracle:
         return [self._filt_memo[m] for m in masks]
 
     def _simple_indices(self, inside: list[int], mask: int) -> list[int]:
-        """The members among ``inside`` with no split in ``mask``, except
-        the zero module (index 0)."""
-        return [i for i in inside if i and not self._splits_in(i, mask)]
+        """The members among ``inside`` but the zero module (index 0) with no
+        proper nonzero subobject in ``mask`` together with its quotient."""
+        simple = []
+        for i in filter(None, inside):
+            for pm in self._member_masks(i).splits:
+                if pm & mask == pm:
+                    break
+            else:
+                simple.append(i)
+        return simple
 
     def simp(self, e) -> frozenset[Member]:
         """Members with no proper nonzero subobject-quotient split inside e."""
@@ -906,9 +875,8 @@ class Oracle:
             if d + d2 > self.dim_bound
         )
         return ClosureFlags(
-            # e is extension-closed iff it is its own filtration closure,
-            # which contains it
-            extensions=len(self._filt_of(mask)) == len(e),
+            # e is extension-closed iff it is its own filtration closure
+            extensions=len(self._closure(mask)) == len(e),
             subobjects=not subs & ~mask,
             quotients=not quots & ~mask,
             summands=summands,

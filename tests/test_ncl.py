@@ -206,3 +206,36 @@ def test_one_long_block_against_many_nested_singletons_is_linear():
     started = time.perf_counter()
     assert violation(partition) is None
     assert time.perf_counter() - started < 1.0
+
+
+def nested_pairs(n):
+    """The blocks ``{i, n + 1 - i}`` for even ``n``: every block nests in the
+    one before it."""
+    return [{i, n + 1 - i} for i in range(1, n // 2 + 1)]
+
+
+def test_violation_matches_all_pairs_scan_around_nested_blocks():
+    partition = NclPartition(20, nested_pairs(20))
+    assert violation(partition) is None
+    for variant in one_mark_more(partition):
+        assert violation(variant) == literal_violation(variant), variant
+
+
+def test_many_nested_blocks_are_checked_in_near_linear_time():
+    # 5,000 blocks {i, 10001 - i}: every pair is nested, so checking each
+    # block against every later block it overlaps took half a minute.
+    n = 10_000
+    started = time.perf_counter()
+    assert violation(NclPartition(n, nested_pairs(n))) is None
+    assert time.perf_counter() - started < 1.0
+
+
+def test_a_crossing_pair_inside_many_nested_blocks_is_found_fast():
+    n = 10_000
+    blocks = nested_pairs(n)[:-2] + [{4999, 5001}, {5000, 5002}]
+    started = time.perf_counter()
+    assert violation(NclPartition(n, blocks)) == (
+        "NCL2: blocks [4999, 5001] and [5000, 5002] interleave "
+        "at 4999<5000<5001<5002"
+    )
+    assert time.perf_counter() - started < 1.0

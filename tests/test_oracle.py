@@ -111,19 +111,39 @@ def test_hom_elements_budget_guard():
 # identification
 
 
+class IdentifyingOracle(Oracle):
+    """Records every representation handed to ``identify`` with its answer."""
+
+    def __init__(self, preset):
+        self.identified = {}
+        super().__init__(preset)
+
+    def identify(self, rep, strict=False):
+        member = self.identified[rep] = super().identify(rep, strict)
+        return member
+
+
+def identified_subquotients(name):
+    """Every representation identified while building all tables of a
+    fresh oracle over F_2, with its member."""
+    oracle = IdentifyingOracle(get_preset(name))
+    for member in oracle.members:
+        oracle.subquotients(member)
+    return oracle, dict(oracle.identified)
+
+
 def test_identify_handles_every_cached_subquotient():
     for name in ["a2_linear", "nak2"]:
-        oracle = get_oracle(name)
-        oracle.filt([])  # force every table
-        for rep, member in list(oracle._identify_cache.items()):
+        oracle, identified = identified_subquotients(name)
+        assert identified
+        for rep, member in identified.items():
             assert oracle.identify(rep, strict=True) == member
 
 
 def test_identify_exhaustive_isomorphism_audit():
-    oracle = get_oracle("nak2")
-    oracle.filt([])
+    oracle, identified = identified_subquotients("nak2")
     checked = 0
-    for rep, member in list(oracle._identify_cache.items()):
+    for rep, member in identified.items():
         if rep.total_dim <= 4:
             oracle.assert_isomorphic(rep, member)
             checked += 1
@@ -491,7 +511,7 @@ def test_extend_filt_matches_filt_of_the_union(data):
     closed = oracle.filt(data.draw(draw_members))
     new = frozenset(data.draw(draw_members))
     got = oracle._extend_filt(oracle._mask_of(closed), oracle._mask_of(new))
-    assert oracle._members_of(got) == oracle.filt(closed | new)
+    assert oracle._members_of(got) == literal_filt(oracle, closed | new)
 
 
 def test_subset_closures_refuse_strangers():

@@ -17,7 +17,7 @@ from functools import lru_cache
 import pytest
 from literal_tables import coords_in_span, literal_entry, literal_subspaces
 
-from monobrick import fp
+from monobrick import fp, verify
 from monobrick.oracle import _UNSTABLE, ZERO, Oracle, get_oracle
 from monobrick.presets import PRESET_NAMES, Rep, get_preset
 from monobrick.verify import run_checks
@@ -185,6 +185,48 @@ EXPECTED_CHECKS = {
 def test_run_checks_verdicts_are_pinned(name, p):
     got = [(r.name, r.passed, r.detail) for r in run_checks(name, p)]
     assert got == [(check, True, "") for check in EXPECTED_CHECKS[name]]
+
+
+class CountingOracle(Oracle):
+    """Counts the hom systems solved for fingerprints and the calls to
+    ``identify``, from construction on."""
+
+    def __init__(self, preset, dim_bound):
+        self.hom_systems = self.identified = 0
+        super().__init__(preset, dim_bound)
+
+    def _hom_dim_reps(self, x, y):
+        self.hom_systems += 1
+        return super()._hom_dim_reps(x, y)
+
+    def identify(self, rep, strict=False):
+        self.identified += 1
+        return super().identify(rep, strict)
+
+
+# (hom systems solved, identify calls) of run_checks(name, 3) on a fresh
+# oracle: a change to what identification computes moves one of them, even
+# when every verdict stays.
+WORK_AT_P3 = {
+    "a2_linear": (430, 360),
+    "a3_linear": (2209, 1051),
+    "a3_source": (3601, 1143),
+    "nak2": (1316, 732),
+    "b3": (5370, 1787),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_checks_work_is_pinned(name, monkeypatch):
+    built = []
+
+    def fresh_oracle(preset_name, dim_bound, p):
+        built.append(CountingOracle(get_preset(preset_name, p), dim_bound))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "get_oracle", fresh_oracle)
+    assert all(r.passed for r in run_checks(name, 3))
+    assert [(o.hom_systems, o.identified) for o in built] == [WORK_AT_P3[name]]
 
 
 # sha256 over every member's sorted subquotient table, one line per member
