@@ -5,11 +5,13 @@ recurrence cross-checks, cofinal closure and maximal-element queries on
 diagrams, conversion between arc diagrams and non-crossing linked
 partitions, the bundled module-category audits, and ASCII rendering.
 
-Each command imports only the layers it runs: ``poset`` is imported by
-``closure``, ``mmax`` and ``oracle verify``, and the matrix oracle (``fp``,
-``presets``, ``oracle``, ``verify``) by ``oracle verify`` alone.  Every run
-starts a fresh interpreter, so a module never loaded is time saved on every
-call.
+Every command, ``--version`` included, imports ``arcs``, ``diagrams``,
+``ncl`` and ``render`` at start-up; ``perfbench/traced_cli.py`` patches
+names in them before the command runs, so they stay eager imports.  The
+rest load on use: ``poset`` in ``closure``, ``mmax`` and ``oracle
+verify``, and the matrix oracle (``fp``, ``presets``, ``oracle``,
+``verify``) in ``oracle verify`` alone.  Every run starts a fresh
+interpreter, so a module never loaded is time saved on every call.
 
 Exit codes are a stable contract: 0 success, 1 a verification suite
 reported failures, 2 command-line misuse, 3 enumeration budget, query

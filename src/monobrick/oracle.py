@@ -5,7 +5,12 @@ zero module), kept up to a total dimension bound.  Identification of an
 arbitrary representation works by dimension vector plus a hom-dimension
 fingerprint: the dimensions of its homs into each indecomposable, then of
 the homs out of each.  The fingerprint table is checked for collisions up
-front so a lookup can never be ambiguous.
+front so a lookup can never be ambiguous.  The rank of each arrow matrix
+is invariant under isomorphism too, and costs one memoised row reduction
+per distinct matrix, so candidates are narrowed by dimensions and ranks
+first; a hom system is solved only to tell apart members that agree on
+both.  Homs and ranks are additive over summands, so every member's
+fingerprint and ranks are sums of per-indecomposable rows.
 
 Two styles of computation coexist deliberately.  Brick-level checks
 (``is_brick``, ``mono_ok`` and the censuses built on them) iterate over
@@ -42,14 +47,20 @@ every source and every target subspace, and per pair of classes an interned
 block-pair id or a sentinel for unstable pairs.  At a vertex, subspaces of
 one dimension with the same class in every table there are interchangeable,
 so a member's table walks one subspace per such vertex class, vertex by
-vertex, and drops a tuple at the first unstable arrow.  The tables read the
-subspaces of F_p^d through frames cached per (d, p): pivots, non-pivot
-columns, the basis and the ids of its rows, so each table maps every
-distinct basis row once and reduces its rows inline.  The
-two halves of every block pair are interned on their own, and a leaf's sub-
-and quotient representation are identified once per oracle, memoised on
-their dimensions and the half ids of their blocks; only a new one is
-assembled from the blocks and handed to ``identify``.
+vertex, and drops a tuple at the first unstable arrow.  The vertex classes
+depend only on the dimension and the tables at the vertex, so each list of
+them is built once per oracle.  The tables read the subspaces of F_p^d
+through frames cached per (d, p), one tuple per field: pivots, non-pivot
+columns, bases and the ids of their rows, so each table maps every distinct
+basis row once.  Reduction modulo a target subspace is linear, and a matrix
+row with one nonzero entry reduces to a multiple of one unit vector
+reduced, which the id of a basis row names; so target classes are keyed by
+those ids, and only rows with more nonzero entries are reduced for every
+subspace.  The two halves of every block pair are interned on their own.  A
+walk leaf is its sub dimensions and block ids, collected once per member;
+its sub- and quotient representation are identified once per oracle,
+memoised on their dimensions and the half ids of their blocks, and only a
+new one is assembled from the blocks and handed to ``identify``.
 """
 
 from __future__ import annotations
@@ -95,6 +106,7 @@ class _ArrowTable(NamedTuple):
     target_class: array  # class of each ``fp.subspaces(d_t, p)`` position
     n_targets: int  # number of target classes
     entries: array  # source class i, target class j at i * n_targets + j
+    serial: int  # the table's position in ``Oracle._arrow_tables``
 
 
 class OracleError(RuntimeError):
@@ -136,13 +148,14 @@ def _subspace_dims(d: int, p: int) -> array:
     return array("B", (len(pivots) for _, pivots in fp.subspaces(d, p)))
 
 
-class _Frame(NamedTuple):
-    """What an arrow table reads of one subspace of F_p^d."""
+class _Frames(NamedTuple):
+    """What an arrow table reads of the subspaces of F_p^d, one tuple per
+    field in ``fp.subspaces`` order, so no record is built per subspace."""
 
-    pivots: tuple[int, ...]
-    free: tuple[int, ...]  # the non-pivot columns
-    basis: fp.Matrix  # the reduced echelon basis, row r pivoting at pivots[r]
-    row_ids: tuple[int, ...]  # each basis row's index in ``_basis_rows``
+    pivots: tuple[tuple[int, ...], ...]
+    free: tuple[tuple[int, ...], ...]  # the non-pivot columns
+    basis: tuple[fp.Matrix, ...]  # reduced echelon, row r pivoting at pivots[r]
+    row_ids: tuple[tuple[int, ...], ...]  # basis rows' indices in ``_basis_rows``
 
 
 @lru_cache(maxsize=None)
@@ -152,18 +165,32 @@ def _basis_rows(d: int, p: int) -> tuple[fp.Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _frames(d: int, p: int) -> tuple[_Frame, ...]:
-    """The frame of every subspace of F_p^d, in ``fp.subspaces`` order."""
+def _frames(d: int, p: int) -> _Frames:
+    """The frames of the subspaces of F_p^d; one ``free`` tuple per set of
+    pivots, and basis rows named by their ids in ``_basis_rows``."""
     row_id = {u: k for k, u in enumerate(_basis_rows(d, p))}
-    free_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frames = []
-    for basis, pivots in fp.subspaces(d, p):
-        free = free_of.get(pivots)
-        if free is None:
-            free = free_of[pivots] = tuple(c for c in range(d) if c not in pivots)
-        row_ids = tuple(map(row_id.__getitem__, basis))
-        frames.append(_Frame(pivots, free, basis, row_ids))
-    return tuple(frames)
+    bases, pivots = zip(*fp.subspaces(d, p))
+    free_of = {
+        pivs: tuple(c for c in range(d) if c not in pivs) for pivs in set(pivots)
+    }
+    return _Frames(
+        pivots,
+        tuple(map(free_of.__getitem__, pivots)),
+        bases,
+        tuple(tuple(map(row_id.__getitem__, basis)) for basis in bases),
+    )
+
+
+def _reduced_row(
+    row: fp.Vector,
+    pivots: tuple[int, ...],
+    free: tuple[int, ...],
+    basis: fp.Matrix,
+    p: int,
+) -> fp.Vector:
+    """``row`` modulo the span of ``basis``, at the ``free`` columns."""
+    reduced = fp.reduce_vec(row, basis, pivots, p)
+    return tuple([reduced[c] for c in free])
 
 
 def _unpack_element(
@@ -192,9 +219,7 @@ def element_is_invertible(
     y_dims: tuple[int, ...],
     p: int,
 ) -> bool:
-    if x_dims != y_dims:
-        return False
-    return element_is_injective(element, x_dims, p)
+    return x_dims == y_dims and element_is_injective(element, x_dims, p)
 
 
 class Oracle:
@@ -220,7 +245,10 @@ class Oracle:
         # and the member identified for (dimensions, half ids) of a walk leaf.
         self._block_halves: list[tuple[int, int]] = []
         self._half_ids: dict[fp.Matrix, int] = {}
-        self._leaf_members: dict[tuple[tuple[int, ...], tuple[int, ...]], Member] = {}
+        self._leaf_members: dict[tuple, Member] = {}
+        # The classes at a vertex, keyed by its dimension and, for each table
+        # there, twice the table's serial plus its role (1 for the target).
+        self._vertex_classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
         self._indec_hom = tuple(
             tuple(
@@ -236,9 +264,10 @@ class Oracle:
         self._watch: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = {m: self.dim_of(m) for m in self.members}
-        self._by_dims: dict[tuple[int, ...], list[Member]] = {}
-        for m in self.members:
-            self._by_dims.setdefault(self.dims_of(m), []).append(m)
+        # The members of each (dimensions, rank of each arrow matrix), and
+        # the rank of every matrix read so far, such as the block halves.
+        self._by_ranks: dict[tuple, list[Member]] = {}
+        self._ranks: dict[fp.Matrix, int] = {}
         self._fingerprints: dict[Member, tuple[int, ...]] = {}
         self._check_fingerprints()
         self._check_simples()
@@ -282,19 +311,31 @@ class Oracle:
         return sum(self.dims_of(member))
 
     def _check_fingerprints(self) -> None:
-        indecs = [(n,) for n in self.preset.indec_names]
+        """Fingerprint every member, refuse a collision, and index the
+        members by dimensions and arrow ranks.
+
+        Homs and ranks are additive over summands, so a member's are the
+        sum over its summands ``a``, with multiplicity, of one row per
+        indecomposable: row ``a`` of ``_indec_hom``, column ``a``, and the
+        ranks of ``a``'s arrow matrices.
+        """
+        hom = self._indec_hom
+        rows = [
+            into + out + self._arrow_ranks(r.mats)
+            for into, out, r in zip(hom, zip(*hom), self.preset.indec_reps)
+        ]
+        zero, n = [0] * len(rows[0]), 2 * len(hom)
         seen: dict[tuple, Member] = {}
         for m in self.members:
-            fingerprint = tuple(self.hom_dim(m, n) for n in indecs) + tuple(
-                self.hom_dim(n, m) for n in indecs
-            )
-            self._fingerprints[m] = fingerprint
-            key = (self.dims_of(m), fingerprint)
+            summed = tuple(map(sum, zip(zero, *(rows[self._order[x]] for x in m))))
+            key = (self.dims_of(m), summed[:n])
             if key in seen:
                 raise OracleError(
                     f"fingerprint collision between {seen[key]} and {m}"
                 )
             seen[key] = m
+            self._fingerprints[m] = key[1]
+            self._by_ranks.setdefault((key[0], summed[n:]), []).append(m)
 
     def _check_simples(self) -> None:
         """Refuse a preset without exactly one simple at some vertex."""
@@ -319,13 +360,10 @@ class Oracle:
                 for j in range(y.dims[t]):
                     row = [0] * total
                     for k in range(x.dims[t]):
-                        row[offsets[t] + k * y.dims[t] + j] = (
-                            row[offsets[t] + k * y.dims[t] + j] + xa[i][k]
-                        ) % p
+                        row[offsets[t] + k * y.dims[t] + j] += xa[i][k]
                     for k in range(y.dims[s]):
-                        row[offsets[s] + i * y.dims[s] + k] = (
-                            row[offsets[s] + i * y.dims[s] + k] - ya[k][j]
-                        ) % p
+                        row[offsets[s] + i * y.dims[s] + k] -= ya[k][j]
+                    row = [c % p for c in row]
                     if any(row):
                         rows.append(tuple(row))
         return rows, total
@@ -396,10 +434,20 @@ class Oracle:
         yield from (self._hom_dim_reps(rep, r) for r in indecs)
         yield from (self._hom_dim_reps(r, rep) for r in indecs)
 
+    def _arrow_ranks(self, mats: tuple[fp.Matrix, ...]) -> tuple[int, ...]:
+        """The rank of each matrix, memoised per oracle; isomorphic
+        representations have the same rank on every arrow."""
+        ranks, p = self._ranks, self.p
+        return tuple([
+            ranks[m] if m in ranks else ranks.setdefault(m, fp.rank(m, p))
+            for m in mats
+        ])
+
     def identify(self, rep: Rep, strict: bool = False) -> Member:
-        """The member of ``rep``'s dimensions left by its fingerprint, read
-        entry by entry; ``strict`` also compares the whole fingerprint."""
-        candidates = self._by_dims.get(rep.dims, [])
+        """The member of ``rep``'s dimensions and arrow ranks, which are
+        invariant under isomorphism, left by its fingerprint read entry by
+        entry; ``strict`` also compares the whole fingerprint."""
+        candidates = self._by_ranks.get((rep.dims, self._arrow_ranks(rep.mats)), [])
         fingerprints = self._fingerprints
         if len(candidates) > 1:
             for j, d in enumerate(self._fingerprint_entries(rep)):
@@ -461,29 +509,38 @@ class Oracle:
         images_of = [fp.vec_mat(u, mat, p) for u in _basis_rows(d_s, p)]
         sources: dict = {}  # (pivots, images) -> class, a representative basis
         source_class = array("i")
-        for pivots, _, basis, row_ids in _frames(d_s, p):
+        for pivots, _, basis, row_ids in zip(*_frames(d_s, p)):
             source = (pivots, tuple(map(images_of.__getitem__, row_ids)))
             found = sources.get(source)
             if found is None:
                 found = sources[source] = (len(sources), basis)
             source_class.append(found[0])
-        # (pivots, rows reduced modulo the space at its non-pivots) -> class,
-        # the same numbers by column.  Basis rows are in reduced echelon
-        # form, so clearing one pivot leaves the others as they were.
+        # (pivots, names of the reduced rows) -> class, the rows reduced
+        # modulo the space at its non-pivots, the same numbers by column.  A
+        # row whose one nonzero entry is at column c reduces to a multiple of
+        # unit vector c reduced, so the id of the basis row pivoting at c
+        # names it, and -1 names it when c is no pivot or the row is zero.
+        # Other rows are named by their reduction; each class reduces once.
+        picks = []
+        for row in mat:
+            nonzero = [c for c, a in enumerate(row) if a]
+            picks.append(nonzero[0] if len(nonzero) == 1 else None if nonzero else -1)
         targets: dict = {}
         target_class = array("i")
-        for pivots, free, basis, _ in _frames(d_t, p):
-            reduced = []
-            for row in mat:
-                for c, u in zip(pivots, basis):
-                    f = row[c]
-                    if f:
-                        row = [(a - f * b) % p for a, b in zip(row, u)]
-                reduced.append(tuple([row[c] for c in free]))
-            target = (pivots, tuple(reduced))
-            found = targets.get(target)
+        for pivots, free, basis, row_ids in zip(*_frames(d_t, p)):
+            names = tuple([
+                _reduced_row(row, pivots, free, basis, p) if c is None
+                else row_ids[pivots.index(c)] if c in pivots else -1
+                for row, c in zip(mat, picks)
+            ])
+            found = targets.get((pivots, names))
             if found is None:
-                found = targets[target] = (len(targets), tuple(zip(*reduced)))
+                reduced = tuple([
+                    _reduced_row(row, pivots, free, basis, p) for row in mat
+                ])
+                found = targets[(pivots, names)] = (
+                    len(targets), reduced, tuple(zip(*reduced))
+                )
             target_class.append(found[0])
 
         def entry(pivots_s, images, basis_s, pivots_t, reduced, columns) -> int:
@@ -509,9 +566,11 @@ class Oracle:
         entries = array("i", [
             entry(pivots_s, images, basis_s, pivots_t, reduced, columns)
             for (pivots_s, images), (_, basis_s) in sources.items()
-            for (pivots_t, reduced), (_, columns) in targets.items()
+            for (pivots_t, _), (_, reduced, columns) in targets.items()
         ])
-        table = _ArrowTable(source_class, target_class, len(targets), entries)
+        table = _ArrowTable(
+            source_class, target_class, len(targets), entries, len(self._arrow_tables)
+        )
         self._arrow_tables[key] = table
         return table
 
@@ -568,40 +627,29 @@ class Oracle:
         # A vertex class is (dimension, class in each table at the vertex),
         # the tables in arrow order, source role before target role.
         columns = [[_subspace_dims(d, p)] for d in dims]
+        keys = [[d] for d in dims]  # the ``_vertex_classes`` keys
         # Each arrow is looked up once both of its ends have a class.
         checks = [[] for _ in range(nv)]
         for a, ((s, t), table) in enumerate(zip(arrows, tables)):
             columns[s].append(table.source_class)
+            keys[s].append(2 * table.serial)
             i = len(columns[s]) - 1
             columns[t].append(table.target_class)
+            keys[t].append(2 * table.serial + 1)
             j = len(columns[t]) - 1
             checks[max(s, t)].append((a, s, i, t, j, table.n_targets, table.entries))
-        classes = [list(dict.fromkeys(zip(*cols))) for cols in columns]
-        total = rep.total_dim
+        memo = self._vertex_classes  # a class list is never empty
+        classes = [
+            memo.get(key) or memo.setdefault(key, list(dict.fromkeys(zip(*cols))))
+            for key, cols in zip(map(tuple, keys), columns)
+        ]
         chosen = [None] * nv
         ids = [0] * len(arrows)
-        halves, leaf_members = self._block_halves, self._leaf_members
-        pairs = {(ZERO, member), (member, ZERO)}
-
-        def identified(dims: tuple[int, ...], side: int) -> Member:
-            # A leaf's sub (side 0) or quotient (side 1) is determined by its
-            # dimensions and the ids of its blocks' halves.
-            key = (dims, tuple([halves[b][side] for b in ids]))
-            found = leaf_members.get(key)
-            if found is None:
-                found = leaf_members[key] = self.identify(
-                    Rep(dims, tuple(blocks[b][side] for b in ids))
-                )
-            return found
+        # A leaf is its sub dimensions and block ids; distinct stable tuples
+        # often give the same leaf, which is then identified once.
+        leaves = set()
 
         def walk(v: int) -> None:
-            if v == nv:
-                sub_dims = tuple([c[0] for c in chosen])
-                if sum(sub_dims) in (0, total):
-                    return
-                quot_dims = tuple([d - k for d, k in zip(dims, sub_dims)])
-                pairs.add((identified(sub_dims, 0), identified(quot_dims, 1)))
-                return
             for c in classes[v]:
                 chosen[v] = c
                 for a, s, i, t, j, n_t, entries in checks[v]:
@@ -610,9 +658,31 @@ class Oracle:
                         break
                     ids[a] = bid
                 else:
-                    walk(v + 1)
+                    if v + 1 < nv:
+                        walk(v + 1)
+                    else:
+                        leaves.add((*[c[0] for c in chosen], *ids))
 
         walk(0)
+        halves, leaf_members = self._block_halves, self._leaf_members
+
+        def identified(dims, ids, side) -> Member:
+            # A leaf's sub (side 0) or quotient (side 1) is determined by its
+            # dimensions and the ids of its blocks' halves.
+            key = (dims, *[halves[b][side] for b in ids])
+            found = leaf_members.get(key)
+            if found is None:
+                found = leaf_members[key] = self.identify(
+                    Rep(dims, tuple(blocks[b][side] for b in ids))
+                )
+            return found
+
+        pairs = {(ZERO, member), (member, ZERO)}
+        for leaf in leaves:
+            sub_dims, ids = leaf[:nv], leaf[nv:]
+            if 0 < sum(sub_dims) < rep.total_dim:
+                quot_dims = tuple([d - k for d, k in zip(dims, sub_dims)])
+                pairs.add((identified(sub_dims, ids, 0), identified(quot_dims, ids, 1)))
         return frozenset(pairs)
 
     def subobjects(self, member: Member) -> frozenset[Member]:
@@ -898,21 +968,6 @@ class Oracle:
                 return False
         return True
 
-    def is_left_schur_elementwise(self, e) -> bool:
-        """Literal reading: every nonzero map out of a simple is injective.
-
-        Only usable when the hom spaces involved are small; the factored
-        version above is the production route.
-        """
-        e = self._require_subcat(e)
-        for m in self.simp(e):
-            dims = self.dims_of(m)
-            for x in e - {ZERO}:
-                for el in self.hom_elements(m, x):
-                    if not element_is_injective(el, dims, self.p):
-                        return False
-        return True
-
     def w_map(self, e) -> frozenset[Member]:
         """Members whose every cokernel into the set stays in the set."""
         e = self._require_subcat(e)
@@ -944,12 +999,11 @@ class Oracle:
             arrows_out = [
                 a for a, (s, _) in enumerate(self.preset.arrows) if s == v
             ]
-            rows = []
-            for i in range(rep.dims[v]):
-                row: list[int] = []
-                for a in arrows_out:
-                    row.extend(rep.mats[a][i])
-                rows.append(tuple(row))
+            # row i: the images of basis vector i under every arrow out of v
+            rows = [
+                sum((rep.mats[a][i] for a in arrows_out), ())
+                for i in range(rep.dims[v])
+            ]
             out.append(rep.dims[v] - fp.rank(rows, self.p))
         return tuple(out)
 

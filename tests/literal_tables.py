@@ -1,4 +1,5 @@
-"""The per-pair arrow-table entry, kept as a test reference.
+"""The per-pair arrow-table entry and fingerprint identification, kept as
+test references.
 
 The package keys each arrow table by classes of subspaces and computes one
 entry per pair of classes.  This is the entry it was derived from, computed
@@ -8,11 +9,17 @@ block.  Tests compare the two on every pair of subspaces.  The sub block
 and the brute-force subquotients read coordinates over an RREF basis with
 :func:`coords_in_span`, which the package itself never needs.  The
 subspaces themselves are listed a second way by :func:`literal_subspaces`.
+
+``Oracle.identify`` narrows its candidates by dimensions and arrow ranks
+before it solves any hom system.  :func:`literal_identify` is the route it
+replaced, which narrows by dimensions and hom-dimension fingerprint alone,
+and :func:`literal_fingerprint` reads that fingerprint off ``hom_dim``.
 """
 
 from itertools import combinations, product
 
 from monobrick import fp
+from monobrick.oracle import OracleError
 
 
 def literal_subspaces(d, p):
@@ -73,3 +80,37 @@ def literal_entry(mat, source, target, p):
         for c in free_s
     )
     return sub, quot
+
+
+def literal_fingerprint(oracle, member):
+    """The dimensions of the homs from ``member`` into each indecomposable,
+    then into ``member`` from each."""
+    indecs = [(n,) for n in oracle.preset.indec_names]
+    return tuple(oracle.hom_dim(member, n) for n in indecs) + tuple(
+        oracle.hom_dim(n, member) for n in indecs
+    )
+
+
+def literal_identify(oracle, rep, strict=False):
+    """The member of ``rep``'s dimensions left by its fingerprint, read
+    entry by entry; ``strict`` also compares the whole fingerprint."""
+    candidates = [m for m in oracle.members if oracle.dims_of(m) == rep.dims]
+    prints = {m: literal_fingerprint(oracle, m) for m in candidates}
+    if len(candidates) > 1:
+        for j, d in enumerate(oracle._fingerprint_entries(rep)):
+            candidates = [m for m in candidates if prints[m][j] == d]
+            if len(candidates) <= 1:
+                break
+    if len(candidates) != 1:
+        raise OracleError(
+            f"representation with dimensions {rep.dims} matches "
+            f"{len(candidates)} members; the indecomposable list cannot "
+            "be complete"
+        )
+    member = candidates[0]
+    if strict and tuple(oracle._fingerprint_entries(rep)) != prints[member]:
+        raise OracleError(
+            f"fingerprint audit failed for a representation matched "
+            f"to {member}"
+        )
+    return member

@@ -8,11 +8,19 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from literal_tables import literal_fingerprint, literal_identify
 
 from monobrick.arcs import hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
-from monobrick.oracle import ZERO, ClosureFlags, Oracle, OracleError, get_oracle
-from monobrick.presets import PRESET_NAMES, get_preset
+from monobrick.oracle import (
+    ZERO,
+    ClosureFlags,
+    Oracle,
+    OracleError,
+    element_is_injective,
+    get_oracle,
+)
+from monobrick.presets import PRESET_NAMES, direct_sum, get_preset
 from monobrick.verify import schur_verdicts
 
 ALL = list(PRESET_NAMES)
@@ -123,10 +131,10 @@ class IdentifyingOracle(Oracle):
         return member
 
 
-def identified_subquotients(name):
+def identified_subquotients(name, p=2):
     """Every representation identified while building all tables of a
-    fresh oracle over F_2, with its member."""
-    oracle = IdentifyingOracle(get_preset(name))
+    fresh oracle over F_p, with its member."""
+    oracle = IdentifyingOracle(get_preset(name, p))
     for member in oracle.members:
         oracle.subquotients(member)
     return oracle, dict(oracle.identified)
@@ -152,13 +160,62 @@ def test_identify_exhaustive_isomorphism_audit():
 
 def test_identify_rejects_out_of_universe():
     oracle = get_oracle("a3_linear")
-    from monobrick.presets import direct_sum
-
     huge = direct_sum(
         oracle.preset, tuple(oracle.preset.rep_of_indec("1") for _ in range(7))
     )
     with pytest.raises(OracleError):
         oracle.identify(huge)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ALL)
+def test_identify_agrees_with_the_fingerprint_route(name, p):
+    # Arrow ranks narrow the candidates before any hom system is solved;
+    # every representation a table build hands over must still land on the
+    # member that dimensions and fingerprint alone pick.
+    oracle, identified = identified_subquotients(name, p)
+    assert identified
+    for rep, member in identified.items():
+        assert literal_identify(oracle, rep) == member
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("name", ALL)
+def test_identify_refuses_a_stranger_like_the_fingerprint_route(name, strict):
+    oracle = get_oracle(name, p=3)
+    simple = oracle.preset.rep_of_indec(oracle.preset.indec_names[0])
+    stranger = direct_sum(oracle.preset, (simple,) * (oracle.dim_bound + 1))
+    with pytest.raises(OracleError) as literal:
+        literal_identify(oracle, stranger, strict)
+    with pytest.raises(OracleError) as got:
+        oracle.identify(stranger, strict)
+    assert str(got.value) == str(literal.value)
+    assert "matches 0 members" in str(got.value)
+
+
+def test_identify_refuses_a_rank_no_member_has():
+    # Without "2/1" every member of a2_linear is semisimple, so the module
+    # 2/1 has the dimensions of 1 + 2 but an arrow of rank 1.  The
+    # fingerprint route stops at the one member of those dimensions.
+    preset = get_preset("a2_linear")
+    keep = [i for i, name in enumerate(preset.indec_names) if name != "2/1"]
+    oracle = Oracle(replace(
+        preset,
+        indec_names=tuple(preset.indec_names[i] for i in keep),
+        indec_reps=tuple(preset.indec_reps[i] for i in keep),
+    ))
+    uniserial = preset.rep_of_indec("2/1")
+    assert literal_identify(oracle, uniserial) == ("1", "2")
+    with pytest.raises(OracleError, match="matches 0 members"):
+        oracle.identify(uniserial)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ALL)
+def test_fingerprints_are_the_hom_dimensions(name, p):
+    oracle = get_oracle(name, p=p)
+    for member in oracle.members:
+        assert oracle._fingerprints[member] == literal_fingerprint(oracle, member)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +394,23 @@ def test_left_schur_examples():
     assert oracle.is_left_schur(e1)
     assert not oracle.is_left_schur(e2)
     # the literal element-by-element reading agrees
-    assert oracle.is_left_schur_elementwise(e1)
-    assert not oracle.is_left_schur_elementwise(e2)
+    assert is_left_schur_elementwise(oracle, e1)
+    assert not is_left_schur_elementwise(oracle, e2)
+
+
+def is_left_schur_elementwise(oracle, e) -> bool:
+    """Literal reading: every nonzero map out of a simple is injective.
+
+    Only usable when the hom spaces involved are small; the factored
+    ``Oracle.is_left_schur`` is the production route.
+    """
+    for m in oracle.simp(e):
+        dims = oracle.dims_of(m)
+        for x in e - {ZERO}:
+            for el in oracle.hom_elements(m, x):
+                if not element_is_injective(el, dims, oracle.p):
+                    return False
+    return True
 
 
 def test_w_map_prunes_to_the_maximal_chain_end():

@@ -15,6 +15,8 @@ from array import array
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from literal_tables import coords_in_span, literal_entry, literal_subspaces
 
 from monobrick import fp, verify
@@ -142,27 +144,57 @@ def test_arrow_table_layout_for_the_identity():
     assert oracle._arrow_table(((1,),), 1, 1) is table
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_class_tables_match_the_literal_entry(name, p):
+def assert_table_matches_the_literal_entry(oracle, mat, d_s, d_t, table):
     # Every pair of subspaces is computed on its own: all pairs in one pair
     # of classes must share one literal entry, and it must be the class
     # entry.
+    p = oracle.p
+    literal = {}
+    for source, i in zip(fp.subspaces(d_s, p), table.source_class):
+        for target, j in zip(fp.subspaces(d_t, p), table.target_class):
+            entry = literal_entry(mat, source, target, p)
+            literal.setdefault((i, j), set()).add(entry)
+    assert len(literal) == len(table.entries)
+    for (i, j), entries in literal.items():
+        bid = table.entries[i * table.n_targets + j]
+        want = None if bid == _UNSTABLE else oracle._blocks[bid]
+        assert entries == {want}, (mat, i, j)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_class_tables_match_the_literal_entry(name, p):
     oracle = Oracle(get_preset(name, p))
     for member in oracle.members:
         oracle.subquotients(member)
     assert oracle._arrow_tables
     for (mat, d_s, d_t), table in oracle._arrow_tables.items():
-        literal = {}
-        for source, i in zip(fp.subspaces(d_s, p), table.source_class):
-            for target, j in zip(fp.subspaces(d_t, p), table.target_class):
-                entry = literal_entry(mat, source, target, p)
-                literal.setdefault((i, j), set()).add(entry)
-        assert len(literal) == len(table.entries)
-        for (i, j), entries in literal.items():
-            bid = table.entries[i * table.n_targets + j]
-            want = None if bid == _UNSTABLE else oracle._blocks[bid]
-            assert entries == {want}, (mat, i, j)
+        assert_table_matches_the_literal_entry(oracle, mat, d_s, d_t, table)
+
+
+@lru_cache(maxsize=None)
+def _scratch_oracle(p):
+    return Oracle(get_preset("a2_linear", p))
+
+
+@st.composite
+def arrow_matrices(draw):
+    """A d_s x d_t matrix over F_3 or F_5 with entries anywhere in 0..p-1:
+    rows with several nonzeros and entries other than 1, which no preset
+    arrow has."""
+    p = draw(st.sampled_from([3, 5]))
+    d_s, d_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, p - 1)] * d_t)
+    return p, tuple(draw(st.lists(row, min_size=d_s, max_size=d_s))), d_s, d_t
+
+
+@given(arrow_matrices())
+@settings(max_examples=100, deadline=None)
+def test_arrow_tables_of_any_matrix_match_the_literal_entry(case):
+    p, mat, d_s, d_t = case
+    oracle = _scratch_oracle(p)
+    table = oracle._arrow_table(mat, d_s, d_t)
+    assert_table_matches_the_literal_entry(oracle, mat, d_s, d_t, table)
 
 
 _ARC = ["universe-size", "identification", "census", "arc-agreement"]
@@ -208,11 +240,11 @@ class CountingOracle(Oracle):
 # oracle: a change to what identification computes moves one of them, even
 # when every verdict stays.
 WORK_AT_P3 = {
-    "a2_linear": (430, 360),
-    "a3_linear": (2209, 1051),
-    "a3_source": (3601, 1143),
-    "nak2": (1316, 732),
-    "b3": (5370, 1787),
+    "a2_linear": (87, 360),
+    "a3_linear": (668, 1051),
+    "a3_source": (574, 1143),
+    "nak2": (144, 732),
+    "b3": (1871, 1787),
 }
 
 
