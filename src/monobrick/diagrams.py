@@ -6,10 +6,12 @@ which crossing kinds a pair of member arcs may have:
 * monobrick diagrams allow mono-crossing and non-crossing pairs,
 * semibrick diagrams allow non-crossing pairs only,
 * cofinally closed diagrams are the monobrick diagrams fixed by cofinal
-  closure, so they allow the monobrick pairs.  They are generated as the
-  cofinal closures of the semibrick diagrams, the paper's semibrick /
-  cofinally-closed bijection; deduplicating the closures keeps the emitted
-  count an independent check that the bijection is injective.
+  closure, so they allow the monobrick pairs.  They are listed by a
+  monobrick clique search that carries each node's closure and cuts every
+  subtree that holds none, and counted as the distinct cofinal closures of
+  the semibrick diagrams (the paper's semibrick / cofinally-closed
+  bijection), so the count is an independent check that the bijection is
+  injective.
 
 :func:`crossing_violation` states that rule pair by pair, and
 :class:`ArcTable` reads the same rules off maps, one :func:`hom_kind` call
@@ -23,11 +25,12 @@ order.  :func:`iter_index_cliques` lists the cliques as index tuples.  One
 count, memoised on the candidate mask that many search nodes share, serves
 both :func:`count_cliques` and :func:`clique_lines`, which writes the
 ``enumerate`` text of a whole small subtree from one template per mask
-instead of a line at a time.  :func:`count_diagrams` lists no clique, and
-cofinally closed diagrams are counted as the set of closure masks, never
-decoded or sorted.  The single-diagram queries in
-:mod:`monobrick.poset` work on :class:`Diagram` objects and never build a
-table.
+instead of a line at a time.  :func:`count_diagrams` lists no clique.
+Neither cofinally closed route calls a closure per clique: both carry
+the closure down their search, :meth:`ArcTable.closed_lines` writes its
+lines in lex order as it finds them, and no mask is decoded or sorted.
+The single-diagram queries in :mod:`monobrick.poset` work on
+:class:`Diagram` objects and never build a table.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 from monobrick.arcs import (
     Algebra,
@@ -274,69 +278,150 @@ class ArcTable:
     come from one :func:`hom_kind` call per ordered pair: ``adjacency``
     holds the monobrick rows (nonzero maps either way are injective) and
     the semibrick rows (all maps either way are zero), ``prefixes[p]`` the
-    submodules of arc ``p`` (``p`` included) and ``bad[p]`` the targets of
-    its nonzero non-injections.
+    submodules of arc ``p`` (``p`` included), ``bad[p]`` the targets of
+    its nonzero non-injections and ``blockers[m]`` their sources.
+
+    An arc ``p`` is in the cofinal closure of a member mask ``C`` when it
+    is a submodule of a member (in ``reach``, the OR of ``prefixes[C]``)
+    and no member blocks it (``bad[p] & C == 0``: ``p`` is in ``ok``, the
+    arcs outside every ``blockers[C]``).  The searches below carry the
+    closure's arcs outside ``C``, ``pending = reach & ok & ~C``, and
+    ``open = ok & ~C``: adding arc ``i`` puts the open part of
+    ``prefixes[i]`` into ``pending`` and takes ``i`` and ``blockers[i]``
+    out of both.
     """
 
     def __init__(self, algebra: Algebra) -> None:
         arcs = tuple(algebra.arcs())
-        # Bit j of out[k][i] / into[k][i]: arcs[i] -> arcs[j] /
-        # arcs[j] -> arcs[i] has kind k.
-        out = {k: [0] * len(arcs) for k in HomKind}
-        into = {k: [0] * len(arcs) for k in HomKind}
+        size = len(arcs)
+        zero, non_injection = HomKind.ZERO, HomKind.NONZERO_NON_INJECTION
+        # Bit j of nonzero[i]: the map arcs[i] -> arcs[j] is nonzero.  The
+        # kinds are told apart by ``is``: a dict keyed by the enum hashes in
+        # Python.
+        nonzero, bad = [], []
+        blockers, prefixes = [0] * size, [0] * size
         for i, a in enumerate(arcs):
+            bit = 1 << i
+            out = out_bad = 0
             for j, b in enumerate(arcs):
                 found = hom_kind(a, b, algebra)
-                out[found][i] |= 1 << j
-                into[found][j] |= 1 << i
-        zero, injection = HomKind.ZERO, HomKind.INJECTION
+                if found is not zero:
+                    out |= 1 << j
+                    if found is non_injection:
+                        out_bad |= 1 << j
+                        blockers[j] |= bit
+                    else:  # an injection or the identity
+                        prefixes[j] |= bit
+            nonzero.append(out)
+            bad.append(out_bad)
+        full = (1 << size) - 1
         self.algebra = algebra
         self.arcs = arcs
         self.index = {arc: i for i, arc in enumerate(arcs)}
+        # Monobrick rows: neither way a nonzero non-injection, nor the arc
+        # itself.  Semibrick rows: no nonzero map either way.
         self.adjacency = {
             DiagramKind.MONOBRICK: tuple(
-                (out[zero][i] | out[injection][i]) & (into[zero][i] | into[injection][i])
-                for i in range(len(arcs))
+                full ^ (bad[i] | blockers[i] | 1 << i) for i in range(size)
             ),
-            DiagramKind.SEMIBRICK: tuple(x & y for x, y in zip(out[zero], into[zero])),
+            DiagramKind.SEMIBRICK: tuple(
+                full ^ (nonzero[i] | prefixes[i] | blockers[i]) for i in range(size)
+            ),
         }
-        self.prefixes = tuple(x | y for x, y in zip(into[injection], into[HomKind.ISO]))
-        self.bad = tuple(out[HomKind.NONZERO_NON_INJECTION])
+        self.prefixes = tuple(prefixes)
+        self.bad = tuple(bad)
+        self.blockers = tuple(blockers)
 
-    def closure(self, indices: Iterable[int]) -> int:
-        """Mask of the cofinal closure of the arcs at ``indices``.
-
-        With ``C`` the member mask this is
-        ``C | {p in OR(prefixes[C]) & ~C : bad[p] & C == 0}``, the mask form
-        of :func:`monobrick.poset.cofinal_closure`.
-        """
-        members = 0
-        reach = 0
-        for i in indices:
-            members |= 1 << i
-            reach |= self.prefixes[i]
-        closed = members
-        candidates = reach & ~members
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            if not self.bad[low.bit_length() - 1] & members:
-                closed |= low
-        return closed
+    def _keep(self) -> list[int]:
+        """``keep[i]``: the arcs that adding arc ``i`` leaves open."""
+        return [~(row | 1 << i) for i, row in enumerate(self.blockers)]
 
     def closed_masks(self) -> set[int]:
-        """Masks of the cofinally closed diagrams: the distinct closures of
-        the semibrick cliques."""
-        return {
-            self.closure(clique)
-            for clique in iter_index_cliques(self.adjacency[DiagramKind.SEMIBRICK])
-        }
+        """Masks of the cofinally closed diagrams: the distinct closures
+        ``members | pending`` of the semibrick cliques, carried down their
+        search."""
+        adjacency = self.adjacency[DiagramKind.SEMIBRICK]
+        prefixes, keep = self.prefixes, self._keep()
+        found: set[int] = set()
+        add = found.add
+        stack = [(0, 0, -1, (1 << len(adjacency)) - 1)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            members, pending, open_, cand = pop()
+            add(members | pending)
+            higher = 0
+            while cand:
+                i = cand.bit_length() - 1
+                bit = 1 << i
+                cand ^= bit
+                k = keep[i]
+                push((
+                    members | bit,
+                    (pending | prefixes[i] & open_) & k,
+                    open_ & k,
+                    higher & adjacency[i],
+                ))
+                higher |= bit
+        return found
+
+    def closed_lines(self, head, first, rest, end) -> Iterator:
+        """``prefix + end`` for every cofinally closed diagram, in lex order
+        on arc indices: a monobrick clique search that yields a node when
+        its ``pending`` is empty.
+
+        A clique's prefix is ``head``, then ``first`` of its lowest index,
+        then ``rest`` of each further index in ascending order.  A child
+        is not pushed when some ``p`` in its ``pending`` lies outside its
+        candidates ``cand`` and ``bad[p] & cand == 0``: ``p`` can then
+        neither join a descendant nor be blocked by one, so no node of the
+        child's subtree is closed.
+
+        >>> table = ArcTable(Algebra.linear_a(2))
+        >>> [(a.start, a.end) for a in table.arcs]
+        [(1, 2), (1, 3), (2, 3)]
+        >>> list(table.closed_lines("<", "abc", "abc", ">"))
+        ['<>', '<a>', '<ab>', '<ac>', '<c>']
+        """
+        adjacency = self.adjacency[DiagramKind.MONOBRICK]
+        prefixes, bad, keep = self.prefixes, self.bad, self._keep()
+        stack = [(head, 0, -1, (1 << len(adjacency)) - 1, first)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            prefix, pending, open_, cand, pieces = pop()
+            if not pending:
+                yield prefix + end
+            higher = 0
+            while cand:
+                i = cand.bit_length() - 1
+                bit = 1 << i
+                cand ^= bit
+                k = keep[i]
+                child_pending = (pending | prefixes[i] & open_) & k
+                child_cand = higher & adjacency[i]
+                higher |= bit
+                stuck = child_pending & ~child_cand
+                while stuck:
+                    low = stuck & -stuck
+                    stuck ^= low
+                    if not bad[low.bit_length() - 1] & child_cand:
+                        break
+                else:
+                    push((
+                        prefix + pieces[i],
+                        child_pending,
+                        open_ & k,
+                        child_cand,
+                        rest,
+                    ))
 
     def diagrams(self, kind: DiagramKind) -> Iterator[tuple[int, ...]]:
         """Ascending index tuples of every diagram of ``kind``, in lex order."""
         if kind is not DiagramKind.COFINALLY_CLOSED:
             return iter_index_cliques(self.adjacency[kind])
-        return iter(sorted(map(bit_indices, self.closed_masks())))
+        singletons = [(i,) for i in range(len(self.arcs))]
+        return self.closed_lines((), singletons, singletons, ())
 
 
 @functools.lru_cache(maxsize=16)
@@ -457,17 +542,15 @@ def json_lines(table: ArcTable, kind: DiagramKind) -> Iterator[tuple[str, int]]:
     Ascending indices are already the ``sorted_arcs`` order, so no
     :class:`Diagram` is built.  Monobrick and semibrick text comes from
     :func:`clique_lines`, whole subtrees at a time; cofinally closed lines
-    are joined one by one from the sorted closures.
+    from :meth:`ArcTable.closed_lines`, one at a time.
     """
     algebra = table.algebra
     head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
     fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
     if kind is not DiagramKind.COFINALLY_CLOSED:
         return clique_lines(table.adjacency[kind], head, fragments, "]}\n")
-    return (
-        (head + ",".join([fragments[i] for i in clique]) + "]}\n", 1)
-        for clique in table.diagrams(kind)
-    )
+    items = ["," + fragment for fragment in fragments]
+    return zip(table.closed_lines(head, fragments, items, "]}\n"), repeat(1))
 
 
 def json_field(data: dict, key: str):

@@ -414,6 +414,26 @@ def test_count_semibricks_have_no_recurrence_column_value(runner):
     assert "| 2 | 5 | 5 | - |" in result.output.splitlines()
 
 
+@pytest.mark.parametrize(("family", "n_max"), [("A", 10), ("B", 7)])
+def test_enumerate_count_line_matches_the_cofinally_closed_count(
+    runner, family, n_max
+):
+    # enumerate lists the closed diagrams by a pruned monobrick search; count
+    # takes the distinct closures of the semibrick cliques.
+    kind = ["--kind", "cofinally-closed"]
+    result = invoke(
+        runner,
+        ["count", "--algebra", family, "--n-max", str(n_max), "--format", "json"]
+        + kind,
+    )
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert [row["n"] for row in rows] == list(range(1, n_max + 1))
+    for row in rows:
+        args = ["enumerate", "--algebra", family, "--n", str(row["n"])] + kind
+        last = invoke(runner, args).output.splitlines()[-1]
+        assert last == '{"count":%d}' % row["enumerated"], row
+
+
 def test_count_rejects_empty_range(runner):
     result = runner.invoke(
         cli.main, ["count", "--algebra", "A", "--n-max", "1", "--n-min", "3"]

@@ -11,6 +11,7 @@ from monobrick.diagrams import (
     Diagram,
     DiagramKind,
     arc_table,
+    bit_indices,
     catalan,
     central_binomial,
     clique_lines,
@@ -139,8 +140,9 @@ STREAM_ALGEBRAS = [Algebra.linear_a(r) for r in range(11)] + [
 
 @pytest.mark.parametrize("algebra", STREAM_ALGEBRAS, ids=str)
 def test_clique_count_is_the_length_of_the_clique_stream(algebra):
-    # The memoised count skips listing, and the cofinally closed count skips
-    # decoding and sorting the closures; the streams list every diagram.
+    # The memoised count skips listing, and the cofinally closed count takes
+    # the distinct closures of the semibricks, which the pruned search of
+    # the stream never builds; the streams list every diagram.
     table = arc_table(algebra)
     for kind in (DiagramKind.MONOBRICK, DiagramKind.SEMIBRICK):
         listed = sum(1 for _ in iter_index_cliques(table.adjacency[kind]))
@@ -301,6 +303,23 @@ def _mask(indices):
     return sum(1 << i for i in indices)
 
 
+def mask_closure(table, indices):
+    """Mask of the cofinal closure of the arcs at ``indices``, one clique at
+    a time: with ``C`` the member mask,
+    ``C | {p in OR(prefixes[C]) & ~C : bad[p] & C == 0}``, the mask form of
+    :func:`cofinal_closure` and the reference for the closures that
+    ``closed_masks`` and ``closed_lines`` carry down their searches."""
+    members = _mask(indices)
+    reach = 0
+    for i in bit_indices(members):
+        reach |= table.prefixes[i]
+    closed = members
+    for p in bit_indices(reach & ~members):
+        if not table.bad[p] & members:
+            closed |= 1 << p
+    return closed
+
+
 @pytest.mark.parametrize(
     "algebra",
     [Algebra.linear_a(r) for r in range(7)] + [Algebra.cyclic_b(r) for r in range(1, 6)],
@@ -309,7 +328,7 @@ def _mask(indices):
 def test_mask_closure_matches_diagram_closure(algebra):
     table = arc_table(algebra)
     for diagram in enumerate_diagrams(algebra, DiagramKind.MONOBRICK):
-        got = table.closure(table.index[a] for a in diagram.arcs)
+        got = mask_closure(table, [table.index[a] for a in diagram.arcs])
         want = cofinal_closure(diagram)
         assert got == _mask(table.index[a] for a in want.arcs), diagram
 
@@ -320,23 +339,64 @@ def test_mask_closure_matches_diagram_closure(algebra):
     ids=str,
 )
 def test_cofinally_closed_routes_agree(algebra):
-    # Production closes the semibricks; the mask filter and the Diagram-level
-    # filter both screen every monobrick.  All three lists must be identical,
-    # order included.
+    # Production lists the closed diagrams by the pruned monobrick search.
+    # The closures of the semibricks (decoded and sorted), the mask filter
+    # and the Diagram-level filter over every monobrick are the references.
+    # All four lists must be identical, order included, and the count's
+    # carried closures must be the semibricks' closures.
     table = arc_table(algebra)
-    produced = list(table.diagrams(DiagramKind.COFINALLY_CLOSED))
+    pruned = list(table.diagrams(DiagramKind.COFINALLY_CLOSED))
+    closures = {
+        mask_closure(table, clique)
+        for clique in iter_index_cliques(table.adjacency[DiagramKind.SEMIBRICK])
+    }
+    semibrick_closures = sorted(map(bit_indices, closures))
     mask_filter = [
         clique
         for clique in iter_index_cliques(table.adjacency[DiagramKind.MONOBRICK])
-        if table.closure(clique) == _mask(clique)
+        if mask_closure(table, clique) == _mask(clique)
     ]
     diagram_filter = [
         tuple(table.index[a] for a in d.sorted_arcs())
         for d in enumerate_diagrams(algebra, DiagramKind.MONOBRICK)
         if is_cofinally_closed(d)
     ]
-    assert produced == mask_filter == diagram_filter
-    assert len(produced) == count_closed_form(algebra, DiagramKind.COFINALLY_CLOSED)
+    assert pruned == semibrick_closures == mask_filter == diagram_filter
+    assert table.closed_masks() == closures
+    assert len(pruned) == count_closed_form(algebra, DiagramKind.COFINALLY_CLOSED)
+
+
+class CountingPieces:
+    """Index-tuple pieces that count their reads: the pruned search reads one
+    piece for every node it pushes, so the nodes it visits are the reads
+    plus the root."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return (i,)
+
+
+# (closed diagrams, nodes visited) of the pruned search.  Unpruned, the
+# search would visit every monobrick: 41,586 at A8, 28,814 at B7 and
+# 1,037,718 at A10.
+CLOSED_SEARCH_WORK = {
+    "A8": (Algebra.linear_a(8), 4862, 7073),
+    "B7": (Algebra.cyclic_b(7), 3432, 5668),
+    "A10": (Algebra.linear_a(10), 58786, 90441),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SEARCH_WORK))
+def test_closed_search_work_is_pinned(name):
+    # A search that stops cutting subtrees still lists the same diagrams, in
+    # the same order, only far slower; this pin is what catches it.
+    algebra, closed, visited = CLOSED_SEARCH_WORK[name]
+    pieces = CountingPieces()
+    lines = arc_table(algebra).closed_lines((), pieces, pieces, ())
+    assert (sum(1 for _ in lines), 1 + pieces.reads) == (closed, visited)
 
 
 @pytest.mark.parametrize("family", ["A", "B"])
