@@ -20,7 +20,8 @@ offset of one start along the other arc and the two lengths; see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -54,20 +55,69 @@ def socle_series(arc: Arc, n: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True, order=True)
-class Algebra:
-    """Ambient mark structure: family ``"A"`` (linear) or ``"B"`` (cyclic) plus rank."""
+class Record:
+    """Immutable value over two or more fields named in ``__slots__``.
 
-    kind: str
-    rank: int
+    Instances compare equal, hash and print as the tuple of their fields,
+    ``_values``, and refuse assignment and deletion, as a frozen dataclass
+    does; a subclass's ``__init__`` sets its fields with
+    ``object.__setattr__``.  Generating a dataclass's methods at import
+    costs every command about a millisecond per class, and these few are
+    all that is used.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("A", "B"):
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == "A" and self.rank < 0:
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # A C-level getter: algebras are hashed and compared often, as cache
+        # keys among others, and a Python-level tuple build more than doubles the cost.
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Algebra(Record):
+    """Ambient mark structure: family ``"A"`` (linear) or ``"B"`` (cyclic) plus rank.
+
+    Algebras order as their ``(kind, rank)`` pairs.
+    """
+
+    __slots__ = ("kind", "rank")
+
+    def __init__(self, kind: str, rank: int) -> None:
+        if kind not in ("A", "B"):
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        if kind == "A" and rank < 0:
             raise ValueError("linear family needs rank >= 0")
-        if self.kind == "B" and self.rank < 1:
+        if kind == "B" and rank < 1:
             raise ValueError("cyclic family needs rank >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
     @classmethod
     def linear_a(cls, rank: int) -> "Algebra":

@@ -5,13 +5,20 @@ recurrence cross-checks, cofinal closure and maximal-element queries on
 diagrams, conversion between arc diagrams and non-crossing linked
 partitions, the bundled module-category audits, and ASCII rendering.
 
-Every command, ``--version`` included, imports ``arcs``, ``diagrams``,
-``ncl`` and ``render`` at start-up; ``perfbench/traced_cli.py`` patches
-names in them before the command runs, so they stay eager imports.  The
-rest load on use: ``poset`` in ``closure``, ``mmax`` and ``oracle
-verify``, and the matrix oracle (``fp``, ``presets``, ``oracle``,
-``verify``) in ``oracle verify`` alone.  Every run starts a fresh
-interpreter, so a module never loaded is time saved on every call.
+Every run starts a fresh interpreter, which imports (and, without cached
+bytecode, compiles) each module it loads, so a module never loaded is
+time saved on every call.  Every command, ``--version`` included,
+imports ``arcs``, ``diagrams``, ``ncl`` and ``render`` at start-up.
+``ncl`` and ``render`` serve only their own commands, but
+``perfbench/traced_cli.py`` finds the modules it patches in
+``sys.modules`` after importing this one, so they stay eager imports.
+The rest load on use: the clique-search engine ``search`` in
+``enumerate`` and ``count``, ``poset`` in ``closure``, ``mmax`` and
+``oracle verify``, and the matrix oracle (``fp``, ``presets``,
+``oracle``, ``verify``, which also enumerates through ``search``) in
+``oracle verify`` alone.  No command's start-up imports
+``dataclasses``: the value types in ``arcs``, ``diagrams`` and ``ncl``
+are plain ``__slots__`` classes.
 
 Exit codes are a stable contract: 0 success, 1 a verification suite
 reported failures, 2 command-line misuse, 3 enumeration budget, query
@@ -31,7 +38,6 @@ from monobrick.diagrams import (
     BudgetExceeded,
     Diagram,
     DiagramKind,
-    arc_table,
     check_budget,
     count_closed_form,
     count_diagrams,
@@ -39,7 +45,6 @@ from monobrick.diagrams import (
     cyclic_count_from_recurrence,
     diagram_from_json,
     diagram_to_json,
-    json_lines,
     linear_count_from_recurrence,
 )
 from monobrick.ncl import (
@@ -255,6 +260,8 @@ def enumerate_command(family, rank, kind, budget, out_path):
         check_budget(algebra, _budget_override(family, budget))
     except BudgetExceeded as exc:
         raise BudgetError(str(exc)) from exc
+    from monobrick.search import arc_table, json_lines
+
     table = arc_table(algebra)
     with _sink(out_path) as fh:
         total = _write_pieces(fh, json_lines(table, _KINDS[kind]))

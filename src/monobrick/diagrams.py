@@ -1,4 +1,4 @@
-"""Arc diagrams: pairwise-compatible arc sets, enumeration, exact counts.
+"""Arc diagrams: pairwise-compatible arc sets, their kinds, exact counts.
 
 A diagram collects arcs over one algebra.  The three diagram kinds differ in
 which crossing kinds a pair of member arcs may have:
@@ -13,44 +13,25 @@ which crossing kinds a pair of member arcs may have:
   bijection), so the count is an independent check that the bijection is
   injective.
 
-:func:`crossing_violation` states that rule pair by pair, and
-:class:`ArcTable` reads the same rules off maps, one :func:`hom_kind` call
-per ordered pair of an algebra's arcs.
-
-Enumeration works in arc-index space over one :class:`ArcTable` per algebra:
-a diagram is an ascending tuple of indices into the (start, length)-sorted
-arcs, found by clique search over a compatibility graph and emitted in lex
-order, so output order is deterministic and independent of set iteration
-order.  :func:`iter_index_cliques` lists the cliques as index tuples.  One
-count, memoised on the candidate mask that many search nodes share, serves
-both :func:`count_cliques` and :func:`clique_lines`, which writes the
-``enumerate`` text of a whole small subtree from one template per mask
-instead of a line at a time.  :func:`count_diagrams` lists no clique.
-Neither cofinally closed route calls a closure per clique: both carry
-the closure down their search, :meth:`ArcTable.closed_lines` writes its
-lines in lex order as it finds them, and no mask is decoded or sorted.
-The single-diagram queries in :mod:`monobrick.poset` work on
-:class:`Diagram` objects and never build a table.
+:func:`crossing_violation` states that rule pair by pair.  The clique
+search that lists and counts whole kinds lives in :mod:`monobrick.search`:
+its :class:`~monobrick.search.ArcTable` reads the same rules off maps.
+Only :func:`enumerate_diagrams` and :func:`count_diagrams` reach it, by an
+import inside the function, so the single-diagram queries (``closure``,
+``mmax``, ``ncl``, ``render``), which work on :class:`Diagram` objects and
+never build a table, do not compile the engine at start-up.  This module
+keeps what they and the matrix oracle share: :class:`Diagram`,
+:func:`iter_index_cliques` and :func:`bit_indices`, the budget check, the
+closed forms and recurrences, and the JSON codec.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from monobrick.arcs import (
-    Algebra,
-    Arc,
-    Crossing,
-    HomKind,
-    arc_length,
-    crossing_kind,
-    hom_kind,
-)
+from monobrick.arcs import Algebra, Arc, Crossing, Record, arc_length, crossing_kind
 
 DEFAULT_BUDGET = {"A": 10, "B": 7}
 
@@ -65,15 +46,17 @@ class DiagramKind(enum.Enum):
     COFINALLY_CLOSED = "CofinallyClosed"
 
 
-@dataclass(frozen=True)
-class Diagram:
-    algebra: Algebra
-    arcs: frozenset[Arc]
+class Diagram(Record):
+    """An arc set over ``algebra``; construction checks every arc."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for arc in self.arcs:
-            self.algebra.check_arc(arc)
+    __slots__ = ("algebra", "arcs")
+
+    def __init__(self, algebra: Algebra, arcs: frozenset[Arc]) -> None:
+        arcs = frozenset(arcs)
+        for arc in arcs:
+            algebra.check_arc(arc)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "arcs", arcs)
 
     def sorted_arcs(self) -> list[Arc]:
         n = self.algebra.marks
@@ -140,116 +123,6 @@ def iter_index_cliques(adjacency: Sequence[int]) -> Iterator[tuple[int, ...]]:
             higher |= bit
 
 
-def _clique_counter(adjacency: Sequence[int]) -> Callable[[int], int]:
-    """``count(cand)``: the cliques in the subtree of a search node with
-    candidates ``cand``, the node's own included.
-
-    ``count(cand) = 1 + sum(count({j in cand : j > i} & adjacency[i]))`` over
-    ``i`` in ``cand``: the children of :func:`iter_index_cliques`, memoised
-    on the candidate mask, since distinct cliques often leave the same
-    candidates (A10 monobricks: 1,037,718 cliques, 1,644 masks).
-    """
-    memo = {0: 1}
-
-    def count(cand: int) -> int:
-        found = memo.get(cand)
-        if found is None:
-            found = 1
-            higher = 0
-            rest = cand
-            while rest:
-                i = rest.bit_length() - 1
-                bit = 1 << i
-                rest ^= bit
-                found += count(higher & adjacency[i])
-                higher |= bit
-            memo[cand] = found
-        return found
-
-    return count
-
-
-def count_cliques(adjacency: Sequence[int]) -> int:
-    """Number of cliques, the empty one included, without listing them.
-
-    >>> count_cliques((0b110, 0b101, 0b011))
-    8
-    """
-    return _clique_counter(adjacency)((1 << len(adjacency)) - 1)
-
-
-# Stands for a line's prefix in a subtree template; no text holds it.
-_HOLE = "\0"
-
-
-def clique_lines(
-    adjacency: Sequence[int],
-    head: str,
-    fragments: Sequence[str],
-    end: str,
-    limit: int = 256,
-) -> Iterator[tuple[str, int]]:
-    """Text of one line per clique, in :func:`iter_index_cliques` order, as
-    ``(text, lines)`` pieces of one or more whole lines.
-
-    A clique's line is ``head``, the ``fragments`` of its indices joined by
-    commas, and ``end``.  Every line under a search node is the node's
-    prefix plus a tail that depends only on the node's candidate mask, so a
-    subtree of at most ``limit`` lines is one piece: a ``str.replace`` of
-    ``_HOLE`` in a template of those tails, built once per mask from its
-    children's templates, its size the memoised count of
-    :func:`count_cliques`.  A larger node is a piece of its own line and
-    pushes its children as the index search does.  The root always does,
-    since its children's first fragment takes no comma.  Templates grow
-    with ``limit``: at the default, the 659 of A9 monobricks hold 0.56 MB.
-
-    >>> triangle = (0b110, 0b101, 0b011)
-    >>> list(clique_lines(triangle, "<", "abc", ">", 2))
-    [('<>', 1), ('<a>', 1), ('<a,b><a,b,c>', 2), ('<a,c>', 1), ('<b><b,c>', 2), ('<c>', 1)]
-    """
-    count = _clique_counter(adjacency)
-    items = ["," + fragment for fragment in fragments]
-    templates: dict[int, str] = {}
-
-    def template(cand: int) -> str:
-        found = templates.get(cand)
-        if found is None:
-            parts = [_HOLE + end]
-            rest = cand
-            while rest:  # ascending: what is left above i is the child's pool
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                child = template(rest & adjacency[i])
-                parts.append(child.replace(_HOLE, _HOLE + items[i]))
-            found = templates[cand] = "".join(parts)
-        return found
-
-    stack: list[tuple[str, int]] = []
-    push = stack.append
-
-    def push_children(prefix: str, cand: int, pieces: Sequence[str]) -> None:
-        higher = 0
-        while cand:
-            i = cand.bit_length() - 1
-            bit = 1 << i
-            cand ^= bit
-            push((prefix + pieces[i], higher & adjacency[i]))
-            higher |= bit
-
-    yield head + end, 1
-    push_children(head, (1 << len(adjacency)) - 1, fragments)
-    pop = stack.pop
-    while stack:
-        prefix, cand = pop()
-        size = count(cand)
-        if size <= limit:
-            yield template(cand).replace(_HOLE, prefix), size
-        else:
-            yield prefix + end, 1
-            push_children(prefix, cand, items)
-
-
 def check_budget(algebra: Algebra, budget: int | None = None) -> None:
     """Raise :class:`BudgetExceeded` when the rank of ``algebra`` is over the
     cap: ``budget``, or the family's default when it is None."""
@@ -270,166 +143,6 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-class ArcTable:
-    """Index-space view of one algebra's arcs, built once for enumeration.
-
-    ``arcs`` are in (start, length) order, ``index`` maps each arc to its
-    position, and bit ``i`` of every mask stands for ``arcs[i]``.  All masks
-    come from one :func:`hom_kind` call per ordered pair: ``adjacency``
-    holds the monobrick rows (nonzero maps either way are injective) and
-    the semibrick rows (all maps either way are zero), ``prefixes[p]`` the
-    submodules of arc ``p`` (``p`` included), ``bad[p]`` the targets of
-    its nonzero non-injections and ``blockers[m]`` their sources.
-
-    An arc ``p`` is in the cofinal closure of a member mask ``C`` when it
-    is a submodule of a member (in ``reach``, the OR of ``prefixes[C]``)
-    and no member blocks it (``bad[p] & C == 0``: ``p`` is in ``ok``, the
-    arcs outside every ``blockers[C]``).  The searches below carry the
-    closure's arcs outside ``C``, ``pending = reach & ok & ~C``, and
-    ``open = ok & ~C``: adding arc ``i`` puts the open part of
-    ``prefixes[i]`` into ``pending`` and takes ``i`` and ``blockers[i]``
-    out of both.
-    """
-
-    def __init__(self, algebra: Algebra) -> None:
-        arcs = tuple(algebra.arcs())
-        size = len(arcs)
-        zero, non_injection = HomKind.ZERO, HomKind.NONZERO_NON_INJECTION
-        # Bit j of nonzero[i]: the map arcs[i] -> arcs[j] is nonzero.  The
-        # kinds are told apart by ``is``: a dict keyed by the enum hashes in
-        # Python.
-        nonzero, bad = [], []
-        blockers, prefixes = [0] * size, [0] * size
-        for i, a in enumerate(arcs):
-            bit = 1 << i
-            out = out_bad = 0
-            for j, b in enumerate(arcs):
-                found = hom_kind(a, b, algebra)
-                if found is not zero:
-                    out |= 1 << j
-                    if found is non_injection:
-                        out_bad |= 1 << j
-                        blockers[j] |= bit
-                    else:  # an injection or the identity
-                        prefixes[j] |= bit
-            nonzero.append(out)
-            bad.append(out_bad)
-        full = (1 << size) - 1
-        self.algebra = algebra
-        self.arcs = arcs
-        self.index = {arc: i for i, arc in enumerate(arcs)}
-        # Monobrick rows: neither way a nonzero non-injection, nor the arc
-        # itself.  Semibrick rows: no nonzero map either way.
-        self.adjacency = {
-            DiagramKind.MONOBRICK: tuple(
-                full ^ (bad[i] | blockers[i] | 1 << i) for i in range(size)
-            ),
-            DiagramKind.SEMIBRICK: tuple(
-                full ^ (nonzero[i] | prefixes[i] | blockers[i]) for i in range(size)
-            ),
-        }
-        self.prefixes = tuple(prefixes)
-        self.bad = tuple(bad)
-        self.blockers = tuple(blockers)
-
-    def _keep(self) -> list[int]:
-        """``keep[i]``: the arcs that adding arc ``i`` leaves open."""
-        return [~(row | 1 << i) for i, row in enumerate(self.blockers)]
-
-    def closed_masks(self) -> set[int]:
-        """Masks of the cofinally closed diagrams: the distinct closures
-        ``members | pending`` of the semibrick cliques, carried down their
-        search."""
-        adjacency = self.adjacency[DiagramKind.SEMIBRICK]
-        prefixes, keep = self.prefixes, self._keep()
-        found: set[int] = set()
-        add = found.add
-        stack = [(0, 0, -1, (1 << len(adjacency)) - 1)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            members, pending, open_, cand = pop()
-            add(members | pending)
-            higher = 0
-            while cand:
-                i = cand.bit_length() - 1
-                bit = 1 << i
-                cand ^= bit
-                k = keep[i]
-                push((
-                    members | bit,
-                    (pending | prefixes[i] & open_) & k,
-                    open_ & k,
-                    higher & adjacency[i],
-                ))
-                higher |= bit
-        return found
-
-    def closed_lines(self, head, first, rest, end) -> Iterator:
-        """``prefix + end`` for every cofinally closed diagram, in lex order
-        on arc indices: a monobrick clique search that yields a node when
-        its ``pending`` is empty.
-
-        A clique's prefix is ``head``, then ``first`` of its lowest index,
-        then ``rest`` of each further index in ascending order.  A child
-        is not pushed when some ``p`` in its ``pending`` lies outside its
-        candidates ``cand`` and ``bad[p] & cand == 0``: ``p`` can then
-        neither join a descendant nor be blocked by one, so no node of the
-        child's subtree is closed.
-
-        >>> table = ArcTable(Algebra.linear_a(2))
-        >>> [(a.start, a.end) for a in table.arcs]
-        [(1, 2), (1, 3), (2, 3)]
-        >>> list(table.closed_lines("<", "abc", "abc", ">"))
-        ['<>', '<a>', '<ab>', '<ac>', '<c>']
-        """
-        adjacency = self.adjacency[DiagramKind.MONOBRICK]
-        prefixes, bad, keep = self.prefixes, self.bad, self._keep()
-        stack = [(head, 0, -1, (1 << len(adjacency)) - 1, first)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            prefix, pending, open_, cand, pieces = pop()
-            if not pending:
-                yield prefix + end
-            higher = 0
-            while cand:
-                i = cand.bit_length() - 1
-                bit = 1 << i
-                cand ^= bit
-                k = keep[i]
-                child_pending = (pending | prefixes[i] & open_) & k
-                child_cand = higher & adjacency[i]
-                higher |= bit
-                stuck = child_pending & ~child_cand
-                while stuck:
-                    low = stuck & -stuck
-                    stuck ^= low
-                    if not bad[low.bit_length() - 1] & child_cand:
-                        break
-                else:
-                    push((
-                        prefix + pieces[i],
-                        child_pending,
-                        open_ & k,
-                        child_cand,
-                        rest,
-                    ))
-
-    def diagrams(self, kind: DiagramKind) -> Iterator[tuple[int, ...]]:
-        """Ascending index tuples of every diagram of ``kind``, in lex order."""
-        if kind is not DiagramKind.COFINALLY_CLOSED:
-            return iter_index_cliques(self.adjacency[kind])
-        singletons = [(i,) for i in range(len(self.arcs))]
-        return self.closed_lines((), singletons, singletons, ())
-
-
-@functools.lru_cache(maxsize=16)
-def arc_table(algebra: Algebra) -> ArcTable:
-    """The :class:`ArcTable` of ``algebra``, built on first use."""
-    return ArcTable(algebra)
-
-
 def enumerate_diagrams(
     algebra: Algebra, kind: DiagramKind, budget: int | None = None
 ) -> Iterator[Diagram]:
@@ -438,6 +151,8 @@ def enumerate_diagrams(
     The budget is checked when this is called, before any work is done.
     """
     check_budget(algebra, budget)
+    from monobrick.search import arc_table
+
     table = arc_table(algebra)
     arcs = table.arcs
     return (
@@ -452,11 +167,14 @@ def count_diagrams(
     """Number of diagrams of ``kind``, checked against the budget first.
 
     Monobrick and semibrick diagrams are the cliques of the table's
-    compatibility graph, counted by :func:`count_cliques`.  Cofinally closed
-    diagrams are counted as distinct closures of the semibrick cliques, so
-    the count checks that the bijection is injective.
+    compatibility graph, counted by :func:`~monobrick.search.count_cliques`
+    without listing them.  Cofinally closed diagrams are counted as distinct
+    closures of the semibrick cliques, so the count checks that the
+    bijection is injective.
     """
     check_budget(algebra, budget)
+    from monobrick.search import arc_table, count_cliques
+
     table = arc_table(algebra)
     if kind is DiagramKind.COFINALLY_CLOSED:
         return len(table.closed_masks())
@@ -532,25 +250,6 @@ def diagram_to_json(diagram: Diagram) -> dict:
         "algebra": diagram.algebra.kind,
         "arcs": [[a.start, a.end] for a in diagram.sorted_arcs()],
     }
-
-
-def json_lines(table: ArcTable, kind: DiagramKind) -> Iterator[tuple[str, int]]:
-    """Compact :func:`diagram_to_json` text of every diagram of ``kind``,
-    one line each, in :meth:`ArcTable.diagrams` order, as ``(text, lines)``
-    pieces of whole lines.
-
-    Ascending indices are already the ``sorted_arcs`` order, so no
-    :class:`Diagram` is built.  Monobrick and semibrick text comes from
-    :func:`clique_lines`, whole subtrees at a time; cofinally closed lines
-    from :meth:`ArcTable.closed_lines`, one at a time.
-    """
-    algebra = table.algebra
-    head = f'{{"n":{algebra.rank},"algebra":"{algebra.kind}","arcs":['
-    fragments = [f"[{a.start},{a.end}]" for a in table.arcs]
-    if kind is not DiagramKind.COFINALLY_CLOSED:
-        return clique_lines(table.adjacency[kind], head, fragments, "]}\n")
-    items = ["," + fragment for fragment in fragments]
-    return zip(table.closed_lines(head, fragments, items, "]}\n"), repeat(1))
 
 
 def json_field(data: dict, key: str):

@@ -20,11 +20,10 @@ diagram enumeration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from monobrick.arcs import Algebra, Arc
+from monobrick.arcs import Algebra, Arc, Record
 from monobrick.diagrams import (
     Diagram,
     DiagramKind,
@@ -35,24 +34,25 @@ from monobrick.diagrams import (
 )
 
 
-@dataclass(frozen=True)
-class NclPartition:
-    n: int
-    blocks: frozenset[frozenset[int]]
+class NclPartition(Record):
+    """Blocks over the ground set ``1..n``; construction checks that every
+    block is nonempty and inside it, :func:`violation` the NCL conditions."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", frozenset(frozenset(b) for b in self.blocks)
-        )
-        if self.n < 1:
+    __slots__ = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: frozenset[frozenset[int]]) -> None:
+        blocks = frozenset(frozenset(b) for b in blocks)
+        if n < 1:
             raise ValueError("partition ground set needs n >= 1")
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("partition contains an empty block")
-            if not all(1 <= x <= self.n for x in block):
+            if not all(1 <= x <= n for x in block):
                 raise ValueError(
-                    f"block {sorted(block)} leaves the ground set 1..{self.n}"
+                    f"block {sorted(block)} leaves the ground set 1..{n}"
                 )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     def canonical(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(b)) for b in self.blocks)

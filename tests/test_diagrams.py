@@ -6,16 +6,12 @@ from hypothesis import given, strategies as st
 
 from monobrick.arcs import Algebra, Arc, Crossing, HomKind, submodule_arcs
 from monobrick.diagrams import (
-    ArcTable,
     BudgetExceeded,
     Diagram,
     DiagramKind,
-    arc_table,
     bit_indices,
     catalan,
     central_binomial,
-    clique_lines,
-    count_cliques,
     count_closed_form,
     count_diagrams,
     crossing_violation,
@@ -24,10 +20,10 @@ from monobrick.diagrams import (
     diagram_to_json,
     enumerate_diagrams,
     iter_index_cliques,
-    json_lines,
     schroder,
 )
 from monobrick.poset import cofinal_closure, is_cofinally_closed
+from monobrick.search import ArcTable, arc_table, clique_lines, count_cliques, json_lines
 from literal_arcs import (
     is_monobrick,
     is_semibrick,
