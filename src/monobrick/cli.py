@@ -16,9 +16,10 @@ The rest load on use: the clique-search engine ``search`` in
 ``enumerate`` and ``count``, ``poset`` in ``closure``, ``mmax`` and
 ``oracle verify``, and the matrix oracle (``fp``, ``presets``,
 ``oracle``, ``verify``, which also enumerates through ``search``) in
-``oracle verify`` alone.  No command's start-up imports
-``dataclasses``: the value types in ``arcs``, ``diagrams`` and ``ncl``
-are plain ``__slots__`` classes.
+``oracle verify`` alone.  No command imports ``dataclasses``, ``oracle
+verify`` included: the value types in ``arcs``, ``diagrams`` and ``ncl``
+are plain ``__slots__`` classes, and the oracle's records are
+``typing.NamedTuple`` classes.
 
 Exit codes are a stable contract: 0 success, 1 a verification suite
 reported failures, 2 command-line misuse, 3 enumeration budget, query

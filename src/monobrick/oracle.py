@@ -68,7 +68,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -113,8 +112,7 @@ class OracleError(RuntimeError):
     """A model-level guarantee failed (or would be too large to check)."""
 
 
-@dataclass(frozen=True)
-class ClosureFlags:
+class ClosureFlags(NamedTuple):
     """Which constructions stay inside a subcategory set.
 
     ``skipped_extension_pairs`` counts ordered pairs of members whose

@@ -11,7 +11,7 @@ indecomposables are thin, one per arc of its algebra.  :data:`PRESETS`
 gives each preset its algebra, and ``a3_source``, the one preset that is
 not serial, its own arrows:
 
->>> interval_preset("a3_source", *PRESETS["a3_source"]).indec_names
+>>> interval_preset("a3_source", *PRESETS["a3_source"], 3).indec_names
 ('1', '2', '3', '1/2', '3/2', '13/2')
 
 Entries are 0/1, so the same data works over any prime field; the field
@@ -21,18 +21,17 @@ vanishing paths and the names, then caches the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from monobrick import FIELD_SIZES, PRESET_NAMES
 from monobrick.arcs import Algebra, arc_length, socle_series
 from monobrick.fp import Matrix, is_zero_matrix, mat_chain, zero_matrix
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(NamedTuple):
     """Row-convention quiver representation: one matrix per arrow."""
 
     dims: tuple[int, ...]
@@ -43,8 +42,7 @@ class Rep:
         return sum(self.dims)
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     num_vertices: int
     arrows: tuple[tuple[int, int], ...]
@@ -96,6 +94,7 @@ def interval_preset(
     name: str,
     algebra: Algebra,
     arrows: tuple[tuple[int, int], ...] | None = None,
+    p: int = 2,
 ) -> Preset:
     """One thin module per arc of ``algebra``, in (length, start) order.
 
@@ -106,6 +105,7 @@ def interval_preset(
     algebra instead, with no arc model.  An arc's module has one dimension
     at each mark of its socle series and ``ONE`` on the arrow between each
     two consecutive marks, the one from the later mark where two join them.
+    The preset's field is F_``p``.
     """
     n = algebra.rank
     zero_paths: tuple[tuple[int, ...], ...] = ()
@@ -139,7 +139,7 @@ def interval_preset(
         zero_paths=zero_paths,
         indec_names=tuple(names),
         indec_reps=tuple(reps),
-        p=2,
+        p=p,
         arc_algebra=arc_algebra,
     )
 
@@ -176,10 +176,7 @@ def get_preset(name: str, p: int = 2) -> Preset:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if p not in FIELD_SIZES:
         raise ValueError("supported field sizes are 2, 3 and 5")
-    preset = interval_preset(name, *PRESETS[name])
-    if p != 2:
-        preset = replace(preset, p=p)
-    return _validate(preset)
+    return _validate(interval_preset(name, *PRESETS[name], p))
 
 
 def direct_sum(preset: Preset, reps: tuple[Rep, ...]) -> Rep:

@@ -36,13 +36,7 @@ def _column(position: int) -> int:
 def _spans(diagram: Diagram) -> list[tuple[int, int]]:
     """Arc endpoints as positions on the unrolled baseline."""
     n = diagram.algebra.marks
-    cyclic = diagram.algebra.kind == "B"
-    spans = []
-    for arc in diagram.sorted_arcs():
-        if cyclic:
-            spans.append((arc.start, arc.start + arc_length(arc, n)))
-        else:
-            spans.append((arc.start, arc.end))
+    spans = [(a.start, a.start + arc_length(a, n)) for a in diagram.arcs]
     spans.sort(key=lambda se: (se[1] - se[0], se[0]))
     return spans
 
@@ -86,10 +80,7 @@ def render_diagram(diagram: Diagram) -> str:
     cyclic = diagram.algebra.kind == "B"
     positions = 2 * n if cyclic else n
 
-    labels = [
-        str(reduce_mark(p, n)) if cyclic else str(p)
-        for p in range(1, positions + 1)
-    ]
+    labels = [str(reduce_mark(p, n)) for p in range(1, positions + 1)]
     width = _column(positions) + len(labels[-1])
     # The baseline takes one row of the cap, each arc level another.
     placed = _assign_levels(_spans(diagram), CELL_CAP // width - 1)

@@ -9,8 +9,7 @@ collapsing into a bare assertion error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from monobrick import poset
 from monobrick.arcs import hom_kind
@@ -27,8 +26,7 @@ from monobrick.oracle import (
 # frozen expectations
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     universe: int
     bricks: int
     monobricks: int
@@ -44,8 +42,7 @@ EXPECTED_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class ClosureRow:
+class ClosureRow(NamedTuple):
     """Hand-checked data for one monobrick of a preset.
 
     ``extras`` lists the indecomposables that occur as summands inside the
@@ -164,8 +161,7 @@ CLOSURE_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -289,6 +285,7 @@ def check_arc_agreement(oracle: Oracle) -> CheckResult:
                     f"hom {a}->{b}: arc rule {want.name}, model {got.name}"
                 )
 
+    diagrams = {kind: list(enumerate_diagrams(algebra, kind)) for kind in DiagramKind}
     for kind, census in (
         (DiagramKind.MONOBRICK, oracle.monobricks()),
         (DiagramKind.SEMIBRICK, oracle.semibricks()),
@@ -299,7 +296,7 @@ def check_arc_agreement(oracle: Oracle) -> CheckResult:
     ):
         transported = {
             frozenset(by_arc[arc] for arc in diagram.arcs)
-            for diagram in enumerate_diagrams(algebra, kind)
+            for diagram in diagrams[kind]
         }
         if transported != set(census):
             off = transported.symmetric_difference(census)
@@ -308,7 +305,7 @@ def check_arc_agreement(oracle: Oracle) -> CheckResult:
                 f"{kind.value} families disagree, e.g. {sample}"
             )
 
-    for diagram in enumerate_diagrams(algebra, DiagramKind.MONOBRICK):
+    for diagram in diagrams[DiagramKind.MONOBRICK]:
         mm = frozenset(by_arc[arc] for arc in diagram.arcs)
         for query, arc_route, model_route in (
             ("closure", poset.cofinal_closure, oracle.cofinal_closure),

@@ -874,6 +874,9 @@ _CORE = {
     "monobrick.render",
 }
 _SEARCH = _CORE | {"monobrick.search"}
+_ORACLE = _SEARCH | {
+    f"monobrick.{m}" for m in ("poset", "fp", "presets", "oracle", "verify")
+}
 
 
 @pytest.mark.parametrize(
@@ -886,13 +889,18 @@ _SEARCH = _CORE | {"monobrick.search"}
         (["mmax", "--hasse"], _CORE | {"monobrick.poset"}),
         (["render"], _CORE),
         (["ncl"], _CORE),
+        (["oracle", "verify", "--preset", "a2_linear"], _ORACLE),
     ],
-    ids=["version", "enumerate", "count", "closure", "mmax", "render", "ncl"],
+    ids=[
+        "version", "enumerate", "count", "closure", "mmax", "render", "ncl",
+        "oracle-verify",
+    ],
 )
 def test_commands_load_only_their_layers(args, layers):
-    # Only enumerate and count compile the clique-search engine, and no
-    # command's start-up imports dataclasses, which is listed with the
-    # package's modules when it is loaded.
+    # Only enumerate, count and oracle verify compile the clique-search
+    # engine, only oracle verify the matrix oracle, and no command imports
+    # dataclasses, which is listed with the package's modules when it is
+    # loaded.
     script = (
         "import atexit, sys\n"
         "atexit.register(lambda: print(*sorted(m for m in sys.modules"

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -62,8 +61,7 @@ def test_dim_bound_must_cover_indecomposables():
 def test_preset_without_a_simple_is_refused():
     preset = get_preset("a2_linear")
     keep = [i for i, name in enumerate(preset.indec_names) if name != "2"]
-    broken = replace(
-        preset,
+    broken = preset._replace(
         indec_names=tuple(preset.indec_names[i] for i in keep),
         indec_reps=tuple(preset.indec_reps[i] for i in keep),
     )
@@ -199,8 +197,7 @@ def test_identify_refuses_a_rank_no_member_has():
     # fingerprint route stops at the one member of those dimensions.
     preset = get_preset("a2_linear")
     keep = [i for i, name in enumerate(preset.indec_names) if name != "2/1"]
-    oracle = Oracle(replace(
-        preset,
+    oracle = Oracle(preset._replace(
         indec_names=tuple(preset.indec_names[i] for i in keep),
         indec_reps=tuple(preset.indec_reps[i] for i in keep),
     ))
