@@ -21,17 +21,20 @@ be hopeless at dimension 36.  Tests compare both styles where both are
 affordable.
 
 Inside the subcategory layer a set of members is an ``int`` mask over
-``Oracle.index``; public inputs and outputs stay frozensets.  Each member's
-subquotient table is turned, on first use, into masks: one per proper
-nonzero (subobject, quotient) pair, the union of its subobjects, and the
-union of its quotients.  ``simp`` keeps the members with no pair mask inside
-the set; the other closure flags are ANDs and ORs of the unions.  One engine
-closes sets under extensions, ``_extend_filt``: a member can join a closed
-set only through a split that meets the new members, so it forward-chains
-over watch lists that name, for each member, the split masks containing it.
-``filt`` runs it from the empty mask, the extension flag asks whether a set
-is its own closure, and ``subset_closures`` grows each subset's closure from
-that of a smaller subset.  ``filt`` (generator mask to closure) and
+``Oracle.index``; public inputs and outputs stay frozensets.  Each input set
+is validated and turned into its mask in one pass, once per call, and
+everything after reads only the mask.  Each member's subquotient table is
+turned, on first use, into masks: one per proper nonzero (subobject,
+quotient) pair, the union of its subobjects, and the union of its quotients.
+``simp`` keeps the members with no pair mask inside the set; the other
+closure flags are ANDs and ORs of the unions, which ``closure_flags`` builds
+once per set, and its left Schur flag reads the same unions at the simples.
+One engine closes sets under extensions, ``_extend_filt``: a member can join
+a closed set only through a split that meets the new members, so it
+forward-chains over watch lists that name, for each member, the split masks
+containing it.  ``filt`` runs it from the empty mask, the extension flag asks
+whether a set is its own closure, and ``subset_closures`` grows each subset's
+closure from that of a smaller subset.  ``filt`` (generator mask to closure) and
 ``closure_flags`` (set mask to flags) are memoised per oracle.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
@@ -119,7 +122,9 @@ class ClosureFlags(NamedTuple):
     dimensions sum past the bound, where middle terms of extensions would
     fall outside the modelled universe; the extension flag is silent about
     those.  ``wide`` and ``torsion_free`` are the two kinds of subcategory
-    the paper obtains as special cases, read off the flags.
+    the paper obtains as special cases, read off the flags.  ``left_schur``
+    says that every nonzero map from a simple of the set (``simp``) to a
+    member is injective, the paper's one-sided Schur condition.
     """
 
     extensions: bool
@@ -130,6 +135,7 @@ class ClosureFlags(NamedTuple):
     images: bool
     cokernels: bool
     skipped_extension_pairs: int
+    left_schur: bool
 
     @property
     def wide(self) -> bool:
@@ -261,7 +267,7 @@ class Oracle:
         self._filt_memo: dict[int, frozenset[Member]] = {}
         self._watch: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._flags_memo: dict[int, ClosureFlags] = {}
-        self._total_dim = {m: self.dim_of(m) for m in self.members}
+        self._total_dim = [self.dim_of(m) for m in self.members]
         # The members of each (dimensions, rank of each arrow matrix), and
         # the rank of every matrix read so far, such as the block halves.
         self._by_ranks: dict[tuple, list[Member]] = {}
@@ -785,18 +791,20 @@ class Oracle:
     # ------------------------------------------------------------------
     # subcategory sets (factorisation style)
 
-    def _require_subcat(self, e) -> frozenset[Member]:
-        e = frozenset(e)
-        if ZERO not in e:
+    def _subcat_mask(self, e) -> int:
+        """The mask of a subcategory set, validated in the same pass: it must
+        hold the zero module (index 0) and lie inside the universe."""
+        bit, mask, stray = self._bit, 0, set()
+        for m in e:
+            if m in bit:
+                mask |= bit[m]
+            else:
+                stray.add(m)
+        if not mask & 1:
             raise OracleError("a subcategory set must contain the zero module")
-        stray = [m for m in e if m not in self.index]
         if stray:
             raise OracleError(f"members outside the universe: {sorted(stray)}")
-        return e
-
-    def _mask_of(self, e: frozenset[Member]) -> int:
-        # distinct powers of two, so the sum is their union
-        return sum(map(self._bit.__getitem__, e))
+        return mask
 
     def _members_of(self, mask: int) -> frozenset[Member]:
         # bin() lists bits high to low; reversed, character i is bit i
@@ -821,20 +829,10 @@ class Oracle:
             self._masks[i] = masks
         return masks
 
-    def _unions(self, inside: list[int]) -> tuple[int, int]:
-        """Masks of all subobjects and of all quotients of the given members."""
-        subs = quots = 0
-        for i in inside:
-            masks = self._member_masks(i)
-            subs |= masks.subs
-            quots |= masks.quots
-        return subs, quots
-
     def filt(self, gens) -> frozenset[Member]:
         """Close a generating set under extensions: the one closure engine,
         ``_extend_filt``, run from the empty mask."""
-        gens = self._require_subcat(set(gens) | {ZERO})
-        return self._closure(self._mask_of(gens))
+        return self._closure(self._subcat_mask([ZERO, *gens]))
 
     def _closure(self, key: int) -> frozenset[Member]:
         """The members of ``_extend_filt(0, key)``, memoised on ``key``."""
@@ -886,7 +884,7 @@ class Oracle:
         generator, which comes earlier in this order.
         """
         gens = list(gens)
-        self._require_subcat({ZERO, *gens})
+        self._subcat_mask([ZERO, *gens])
         bits = [self._bit[g] for g in gens]
         masks = [self._extend_filt(0, self._bit[ZERO])]
         for subset in range(1, 1 << len(bits)):
@@ -894,11 +892,11 @@ class Oracle:
             masks.append(self._extend_filt(masks[subset ^ 1 << top], bits[top]))
         return [self._filt_memo[m] for m in masks]
 
-    def _simple_indices(self, inside: list[int], mask: int) -> list[int]:
-        """The members among ``inside`` but the zero module (index 0) with no
+    def _simple_indices(self, mask: int) -> list[int]:
+        """The members of ``mask`` but the zero module (index 0) with no
         proper nonzero subobject in ``mask`` together with its quotient."""
         simple = []
-        for i in filter(None, inside):
+        for i in bit_indices(mask & ~1):
             for pm in self._member_masks(i).splits:
                 if pm & mask == pm:
                     break
@@ -908,34 +906,38 @@ class Oracle:
 
     def simp(self, e) -> frozenset[Member]:
         """Members with no proper nonzero subobject-quotient split inside e."""
-        e = self._require_subcat(e)
-        inside = [self.index[x] for x in e]
-        simple = self._simple_indices(inside, self._mask_of(e))
+        simple = self._simple_indices(self._subcat_mask(e))
         return frozenset(self.members[i] for i in simple)
 
     def closure_flags(self, e) -> ClosureFlags:
-        e = self._require_subcat(e)
-        mask = self._mask_of(e)
+        mask = self._subcat_mask(e)
         flags = self._flags_memo.get(mask)
         if flags is None:
-            flags = self._flags_memo[mask] = self._closure_flags(e, mask)
+            flags = self._flags_memo[mask] = self._closure_flags(mask)
         return flags
 
-    def _closure_flags(self, e: frozenset[Member], mask: int) -> ClosureFlags:
-        inside = [self.index[x] for x in e]
-        subs, quots = self._unions(inside)
+    def _closure_flags(self, mask: int) -> ClosureFlags:
+        inside = bit_indices(mask)
+        subs = quots = 0
         # Trivial pairs (0, x) and (x, 0) pass every test below, so only the
         # proper pairs of each member are scanned.
-        pairs = [self._member_masks(i).pairs for i in inside]
+        pairs = []
+        for i in inside:
+            masks = self._member_masks(i)
+            subs |= masks.subs
+            quots |= masks.quots
+            pairs.append(masks.pairs)
         kernels = all(a & mask for ps in pairs for a, q in ps if q & subs)
         cokernels = all(q & mask for ps in pairs for a, q in ps if a & quots)
 
         # Removing one summand at a time reaches every sub-multiset, and
         # members are sorted tuples, so a removal is again a member's key.
         summands = all(
-            x[:i] + x[i + 1 :] in e for x in e for i in range(len(x))
+            self._bit[x[:j] + x[j + 1 :]] & mask
+            for x in map(self.members.__getitem__, inside)
+            for j in range(len(x))
         )
-        by_dim = Counter(self._total_dim[x] for x in e)
+        by_dim = Counter(map(self._total_dim.__getitem__, inside))
         skipped = sum(
             n * m
             for d, n in by_dim.items()
@@ -943,8 +945,8 @@ class Oracle:
             if d + d2 > self.dim_bound
         )
         return ClosureFlags(
-            # e is extension-closed iff it is its own filtration closure
-            extensions=len(self._closure(mask)) == len(e),
+            # a set is extension-closed iff it is its own filtration closure
+            extensions=len(self._closure(mask)) == len(inside),
             subobjects=not subs & ~mask,
             quotients=not quots & ~mask,
             summands=summands,
@@ -953,24 +955,17 @@ class Oracle:
             images=not subs & quots & ~mask,
             cokernels=cokernels,
             skipped_extension_pairs=skipped,
+            # no simple has a quotient but 0 and itself that embeds in a member
+            left_schur=not any(
+                self._member_masks(i).quots & subs & ~(1 | 1 << i)
+                for i in self._simple_indices(mask)
+            ),
         )
-
-    def is_left_schur(self, e) -> bool:
-        """No member simple in e admits a proper nonzero quotient embedding
-        into a member."""
-        e = self._require_subcat(e)
-        inside = [self.index[x] for x in e]
-        subs, _ = self._unions(inside)
-        for i in self._simple_indices(inside, self._mask_of(e)):
-            if self._member_masks(i).quots & subs & ~(self._bit[ZERO] | 1 << i):
-                return False
-        return True
 
     def w_map(self, e) -> frozenset[Member]:
         """Members whose every cokernel into the set stays in the set."""
-        e = self._require_subcat(e)
-        mask = self._mask_of(e)
-        inside = [self.index[x] for x in e]
+        mask = self._subcat_mask(e)
+        inside = bit_indices(mask)
         bad_images = 0
         for i in inside:
             for a, q in self._member_masks(i).pairs:
@@ -1027,9 +1022,9 @@ class Oracle:
             raise OracleError(f"arc {arc} matches {len(matches)} indecomposables")
         return matches[0]
 
-    def arc_hom_kind(self, a: Arc, b: Arc) -> HomKind:
-        """Classify the hom space between the modules of two arcs."""
-        x, y = self.arc_member(a), self.arc_member(b)
+    def hom_kind(self, x: Member, y: Member) -> HomKind:
+        """Classify the hom space between two members, such as the modules
+        of two arcs."""
         d = self.hom_dim(x, y)
         if d == 0:
             return HomKind.ZERO

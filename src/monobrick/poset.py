@@ -46,10 +46,10 @@ def cofinal_closure(diagram: Diagram) -> Diagram:
     arcs = set(diagram.arcs)
     for chain in _chains(diagram):
         start, longest = chain[0].start, arc_length(chain[-1], n)
-        reach = [0] * longest  # reach[d]: largest d + len(m) at offset d
+        reach = [0] * (longest - 1)  # reach[d]: largest d + len(m) at offset d
         for m_start, length in spans:
             d = (m_start - start) % n
-            if 0 < d < longest:
+            if 0 < d < longest - 1:
                 reach[d] = max(reach[d], d + length)
         far = 0
         for k in range(1, longest):

@@ -279,7 +279,7 @@ def check_arc_agreement(oracle: Oracle) -> CheckResult:
     for a in arcs:
         for b in arcs:
             want = hom_kind(a, b, algebra)
-            got = oracle.arc_hom_kind(a, b)
+            got = oracle.hom_kind(by_arc[a], by_arc[b])
             if want is not got:
                 problems.append(
                     f"hom {a}->{b}: arc rule {want.name}, model {got.name}"
@@ -469,7 +469,7 @@ def schur_verdicts(
         if e not in verdicts:
             flags = oracle.closure_flags(e)
             closed = flags.extensions and flags.kernels and flags.images
-            verdicts[e] = (bits, oracle.is_left_schur(e), closed)
+            verdicts[e] = (bits, flags.left_schur, closed)
     return verdicts
 
 

@@ -388,8 +388,8 @@ def test_left_schur_examples():
     oracle = get_oracle("a3_linear")
     e1 = oracle.filt([("1",), ("2",), ("2/1",), ("3/2/1",)])
     e2 = oracle.filt([("2",), ("2/1",), ("3/2/1",)])
-    assert oracle.is_left_schur(e1)
-    assert not oracle.is_left_schur(e2)
+    assert oracle.closure_flags(e1).left_schur
+    assert not oracle.closure_flags(e2).left_schur
     # the literal element-by-element reading agrees
     assert is_left_schur_elementwise(oracle, e1)
     assert not is_left_schur_elementwise(oracle, e2)
@@ -399,7 +399,7 @@ def is_left_schur_elementwise(oracle, e) -> bool:
     """Literal reading: every nonzero map out of a simple is injective.
 
     Only usable when the hom spaces involved are small; the factored
-    ``Oracle.is_left_schur`` is the production route.
+    ``ClosureFlags.left_schur`` is the production route.
     """
     for m in oracle.simp(e):
         dims = oracle.dims_of(m)
@@ -486,6 +486,7 @@ def literal_closure_flags(oracle, e) -> ClosureFlags:
         skipped_extension_pairs=sum(
             1 for s in e for q in e if dims[s] + dims[q] > oracle.dim_bound
         ),
+        left_schur=literal_is_left_schur(oracle, e),
     )
 
 
@@ -557,7 +558,8 @@ def test_subcategory_layer_matches_the_frozenset_route(name):
         assert e == literal_filt(oracle, gens), sorted(gens)
         for s in (gens | {ZERO}, e):
             assert oracle.simp(s) == literal_simp(oracle, s), sorted(s)
-            assert oracle.is_left_schur(s) == literal_is_left_schur(oracle, s)
+            schur = oracle.closure_flags(s).left_schur
+            assert schur == literal_is_left_schur(oracle, s)
             assert oracle.w_map(s) == literal_w_map(oracle, s), sorted(s)
 
 
@@ -579,7 +581,9 @@ def test_extend_filt_matches_filt_of_the_union(data):
     draw_members = st.lists(st.sampled_from(oracle.members), max_size=4)
     closed = oracle.filt(data.draw(draw_members))
     new = frozenset(data.draw(draw_members))
-    got = oracle._extend_filt(oracle._mask_of(closed), oracle._mask_of(new))
+    got = oracle._extend_filt(
+        oracle._subcat_mask(closed), oracle._subcat_mask(new | {ZERO})
+    )
     assert oracle._members_of(got) == literal_filt(oracle, closed | new)
 
 
@@ -600,7 +604,7 @@ def literal_schur_sweep(oracle):
             continue
         flags = oracle.closure_flags(e)
         closed = flags.extensions and flags.kernels and flags.images
-        verdicts[e] = (bits, oracle.is_left_schur(e), closed)
+        verdicts[e] = (bits, oracle.closure_flags(e).left_schur, closed)
     return verdicts
 
 
@@ -630,7 +634,9 @@ def test_memoised_results_ignore_how_a_set_is_passed():
         assert oracle.filt(form(ordered)) == e
         assert oracle.simp(form(ordered)) == literal_simp(oracle, e)
         assert oracle.closure_flags(form(ordered)) == literal_closure_flags(oracle, e)
-        assert oracle.is_left_schur(form(ordered)) == literal_is_left_schur(oracle, e)
+        assert oracle.closure_flags(form(ordered)).left_schur == literal_is_left_schur(
+            oracle, e
+        )
         assert oracle.w_map(form(ordered)) == literal_w_map(oracle, e)
 
 
@@ -639,7 +645,11 @@ def test_memos_do_not_skip_validation():
     e = oracle.filt([("1",)])
     flags = oracle.closure_flags(e)
     stray = ("2/1",) * 9
-    for method in (oracle.closure_flags, oracle.simp, oracle.is_left_schur, oracle.w_map):
+
+    def left_schur(s):
+        return oracle.closure_flags(s).left_schur
+
+    for method in (oracle.closure_flags, oracle.simp, left_schur, oracle.w_map):
         with pytest.raises(OracleError, match="zero"):
             method(e - {ZERO})
         with pytest.raises(OracleError, match="outside"):
@@ -725,7 +735,8 @@ def test_arc_hom_kinds_agree(name):
     oracle = get_oracle(name)
     algebra = oracle.preset.arc_algebra
     for a, b in product(algebra.arcs(), repeat=2):
-        assert oracle.arc_hom_kind(a, b) is hom_kind(a, b, algebra), (a, b)
+        got = oracle.hom_kind(oracle.arc_member(a), oracle.arc_member(b))
+        assert got is hom_kind(a, b, algebra), (a, b)
 
 
 def test_arc_members_cover_all_bricks():
@@ -770,7 +781,8 @@ def test_arc_agreement_holds_over_f3():
     oracle = get_oracle("nak2", 4, 3)
     algebra = oracle.preset.arc_algebra
     for a, b in product(algebra.arcs(), repeat=2):
-        assert oracle.arc_hom_kind(a, b) is hom_kind(a, b, algebra)
+        got = oracle.hom_kind(oracle.arc_member(a), oracle.arc_member(b))
+        assert got is hom_kind(a, b, algebra)
 
 
 # ---------------------------------------------------------------------------

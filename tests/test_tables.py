@@ -17,6 +17,9 @@ from monobrick.verify import (
     CLOSURE_TABLES,
     EXPECTED_COUNTS,
     check_arc_agreement,
+    check_census,
+    check_left_schur,
+    check_structural_identities,
     closure_row_problems,
     run_checks,
 )
@@ -81,6 +84,84 @@ def test_arc_agreement_reports_both_sides_of_a_query(monkeypatch, method, mismat
     result = check_arc_agreement(get_oracle("a2_linear"))
     assert not result.passed
     assert mismatch in result.detail.split("; ")
+
+
+# Each audit below runs on a fresh a2_linear oracle that answers one
+# question wrongly on one input.  Its bricks are 1, 2 and 2/1; the cofinal
+# closure of the monobrick {2/1} is {1, 2/1}, whose maximal element is 2/1.
+ONE, TWO_ONE = ("1",), ("2/1",)
+CHAIN = frozenset({ONE, TWO_ONE})
+
+
+def _problems(result):
+    assert result.passed is False
+    return result.detail.split("; ")
+
+
+def test_left_schur_audit_reports_a_flipped_verdict():
+    class Flipped(Oracle):
+        def closure_flags(self, e):
+            flags = super().closure_flags(e)
+            if frozenset(e) == self.filt([ONE]):
+                return flags._replace(left_schur=False)
+            return flags
+
+    problems = _problems(check_left_schur(Flipped(get_preset("a2_linear"))))
+    assert "filt({1}): schur=False but kernel/image closure=True" in problems
+
+
+def test_census_reports_disagreeing_mono_checks():
+    class Negated(Oracle):
+        def mono_ok_factored(self, x, y):
+            return super().mono_ok_factored(x, y) != ((x, y) == (ONE, TWO_ONE))
+
+    problems = _problems(check_census(Negated(get_preset("a2_linear"))))
+    assert problems == [
+        "element and factored mono checks disagree on (('1',), ('2/1',))"
+    ]
+
+
+def test_structural_identities_report_a_w_map_that_keeps_its_input():
+    class Keeps(Oracle):
+        def w_map(self, e):
+            if frozenset(e) == self.filt(CHAIN):
+                return frozenset(e)
+            return super().w_map(e)
+
+    oracle = Keeps(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    message = "w_map differs from the filtration of the maximal elements"
+    assert f"{{1, 2/1}}: {message}" in problems
+
+
+def test_structural_identities_report_a_closure_that_is_not_idempotent():
+    # The closure of {2/1} is {1, 2/1}, whose closure is made {2/1} again.
+    class Flapping(Oracle):
+        def cofinal_closure(self, bricks):
+            if frozenset(bricks) == CHAIN:
+                return frozenset({TWO_ONE})
+            return super().cofinal_closure(bricks)
+
+    oracle = Flapping(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    assert "{2/1}: cofinal closure is not idempotent" in problems
+
+
+def test_structural_identities_report_a_closure_that_misses_mmax():
+    # {1, 2/1} is cofinally closed, but the closure of its maximal element
+    # 2/1 is made 2/1 alone.
+    class Short(Oracle):
+        def cofinal_closure(self, bricks):
+            if frozenset(bricks) == {TWO_ONE}:
+                return frozenset({TWO_ONE})
+            return super().cofinal_closure(bricks)
+
+    oracle = Short(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    assert (
+        "{1, 2/1}: closure does not undo mmax on a cofinally closed monobrick"
+        in problems
+    )
 
 
 def test_serial_presets_cover_everything_but_the_source():
