@@ -10,13 +10,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import monobrick
 from monobrick import cli, poset, presets, render, search, verify
@@ -305,14 +305,17 @@ def test_integer_options_take_ascii_digits_only(runner, command, raw):
 
 
 def test_no_option_uses_the_plain_int_type():
-    def params(command):
-        yield from command.params
-        for sub in getattr(command, "commands", {}).values():
-            yield from params(sub)
+    # Every option is a flag or goes through one of the three parsers, and
+    # the only parser that returns an integer is _Digits.
+    def options(command):
+        yield from command.options
+        for sub in (command.commands or {}).values():
+            yield from options(sub)
 
-    found = list(params(cli.main))
-    assert any(isinstance(p.type, cli._Digits) for p in found)
-    assert not [p.name for p in found if isinstance(p.type, click.types.IntParamType)]
+    found = list(options(cli.main))
+    assert {type(o.parse) for o in found} <= {type(None), cli._Digits, cli._Choice, cli._File}
+    digits = sorted({o.flags for o in found if isinstance(o.parse, cli._Digits)})
+    assert digits == [("--budget",), ("--n",), ("--n-max",), ("--n-min",)]
 
 
 def test_enumerate_usage_errors(runner):
@@ -899,12 +902,13 @@ _ORACLE = _SEARCH | {
 def test_commands_load_only_their_layers(args, layers):
     # Only enumerate, count and oracle verify compile the clique-search
     # engine, only oracle verify the matrix oracle, and no command imports
-    # dataclasses, which is listed with the package's modules when it is
-    # loaded.
+    # click or dataclasses, which are listed with the package's modules when
+    # they are loaded.
     script = (
         "import atexit, sys\n"
         "atexit.register(lambda: print(*sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('monobrick', 'dataclasses')), file=sys.stderr))\n"
+        " if m.partition('.')[0] in ('monobrick', 'dataclasses', 'click')),"
+        " file=sys.stderr))\n"
         "from monobrick.cli import main\n"
         "main()\n"
     )
@@ -1033,3 +1037,149 @@ def test_render_help_states_the_cell_cap(runner):
 
 def test_version_flag(runner):
     assert invoke(runner, ["--version"]).exit_code == 0
+
+
+# -- misuse: exit codes and exact stderr -----------------------------------
+
+_GROUP_HELP = """\
+Usage: monobrick [OPTIONS] COMMAND [ARGS]...
+
+  Arc diagram enumeration and module-category audits.
+
+Options:
+  --version   Show the version and exit.
+  -h, --help  Show this message and exit.
+
+Commands:
+  closure    Cofinal closure of a monobrick diagram, same JSON schema.
+  count      Count diagrams over a rank range and cross-check both closed...
+  enumerate  Stream every diagram of one kind as JSON, one object per line.
+  mmax       Maximal arcs of a monobrick diagram in the submodule order.
+  ncl        Convert a linked partition to its arc diagram, or back.
+  oracle     Audits of the exhaustive module-category model.
+  render     ASCII picture: marks on a baseline, bracket arcs above it.
+"""
+
+
+def _usage(path):
+    return f"Usage: monobrick {path}[OPTIONS]\nTry 'monobrick {path}--help' for help.\n\n"
+
+
+_MISUSE = [
+    ([], None, _GROUP_HELP),
+    (["frobnicate"], None,
+     "Usage: monobrick [OPTIONS] COMMAND [ARGS]...\n"
+     "Try 'monobrick --help' for help.\n\n"
+     "Error: No such command 'frobnicate'.\n"),
+    (["enumerate", "--algbra", "A", "--n", "3"], None,
+     _usage("enumerate ")
+     + "Error: No such option '--algbra'. Did you mean '--algebra'?\n"),
+    (["enumerate", "--n", "3"], None,
+     _usage("enumerate ") + "Error: Missing option '--algebra'. Choose from:\n\tA,\n\tB\n"),
+    (["oracle", "verify"], None,
+     _usage("oracle verify ") + "Error: Missing option '--preset'. Choose from:\n"
+     "\ta2_linear,\n\ta3_linear,\n\ta3_source,\n\tb3,\n\tnak2\n"),
+    (["oracle", "verify", "--preset", "b3", "-p", "7"], None,
+     _usage("oracle verify ")
+     + "Error: Invalid value for '-p' / '--char': '7' is not one of '2', '3', '5'.\n"),
+    (["enumerate", "--algebra", "A", "--n", "1_0"], None,
+     _usage("enumerate ") + "Error: Invalid value for '--n': must be an integer "
+     "of at least 0 in ASCII digits, got '1_0'\n"),
+    # Options given are read in command-line order, before the ones left out.
+    (["enumerate", "--n", "1_0"], None,
+     _usage("enumerate ") + "Error: Invalid value for '--n': must be an integer "
+     "of at least 0 in ASCII digits, got '1_0'\n"),
+    (["enumerate", "--algebra", "A", "--n"], None,
+     "Error: Option '--n' requires an argument.\n"),
+    (["closure", "--hasse=1"], None,
+     "Error: Option '--hasse' does not take a value.\n"),
+    (["closure", "--in", "missing.json"], None,
+     _usage("closure ") + "Error: Invalid value for '--in': File 'missing.json' does not exist.\n"),
+    (["closure", "--in", "sub"], None,
+     _usage("closure ") + "Error: Invalid value for '--in': File 'sub' is a directory.\n"),
+    (["count", "--algebra", "A", "--n-max", "2", "--n-min", "3"], None,
+     _usage("count ") + "Error: --n-max must be at least --n-min\n"),
+    (["enumerate", "--algebra", "B", "--n", "3"], {"MONOBRICK_BUDGET_B": "soon"},
+     _usage("enumerate ") + "Error: MONOBRICK_BUDGET_B must be an integer of at "
+     "least 1 in ASCII digits, got 'soon'\n"),
+    (["enumerate", "--algebra", "A", "--n", "3", "extra"], None,
+     _usage("enumerate ") + "Error: Got unexpected extra argument (extra)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    ("args", "env", "stderr"), _MISUSE, ids=[" ".join(a) or "no-args" for a, _, _ in _MISUSE]
+)
+def test_misuse_exits_2_with_pinned_stderr(runner, tmp_path, monkeypatch, args, env, stderr):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    result = runner.invoke(cli.main, args, env=env, prog_name="monobrick", input=CHAIN)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
+
+
+
+@pytest.mark.parametrize(
+    ("spelled", "plain"),
+    [
+        (["count", "--algebra", "B", "--algebra=A", "--n-max=2", "--format", "x",
+          "--format", "csv"], ["count", "--algebra", "A", "--n-max", "2", "--format", "csv"]),
+        (["oracle", "verify", "-p", "2", "--preset=nak2", "-p3"],
+         ["oracle", "verify", "--preset", "nak2", "--char", "3"]),
+        (["closure", "--hasse", "--", "--in"], None),
+    ],
+    ids=["repeats-and-equals", "short-cluster", "double-dash"],
+)
+def test_option_spellings_follow_click(runner, monkeypatch, spelled, plain):
+    # A later repeat wins (before its value is read), "=" attaches a value,
+    # "-p3" is "-p 3", and after "--" nothing is an option.
+    monkeypatch.setattr(cli, "run_checks", lambda preset, p: [CheckResult(f"{preset} {p}", True)])
+    result = runner.invoke(cli.main, spelled, input=CHAIN)
+    if plain is None:
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: Got unexpected extra argument (--in)\n")
+        return
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == invoke(runner, plain, input=CHAIN).stdout
+
+
+# Commands and option names, real and near misses, and values: small ranks,
+# junk, fullwidth digits, empty strings and "--".  Ranks stay at 4 or below
+# and the only preset offered is the smallest, so each run is quick.
+_COMMANDS = st.sampled_from([
+    [], ["enumerate"], ["count"], ["closure"], ["mmax"], ["ncl"], ["render"],
+    ["oracle"], ["oracle", "verify"], ["enumerat"], ["Count"], ["oracle", "verfy"],
+    ["--"], ["-h"], ["--version"],
+])
+_OPTION_NAMES = st.sampled_from([
+    "--algebra", "--n", "--n-max", "--n-min", "--kind", "--budget", "--format",
+    "--in", "--out", "--hasse", "--preset", "-p", "--char", "--help", "-h",
+    "--version", "--algbra", "--nmax", "--kindd", "--hase", "--presets", "-x",
+    "-hp", "-ph", "--", "-", "---n",
+])
+_VALUES = (
+    st.integers(min_value=0, max_value=4).map(str)
+    | st.sampled_from([
+        "A", "B", "C", "monobrick", "semibrick", "cofinally-closed", "csv",
+        "json", "a2_linear", "nak9", "\uff13", "", "--", "1_0", "+3", " 2",
+    ])
+    | st.text(max_size=4)
+)
+_TOKENS = _OPTION_NAMES | _VALUES | st.builds(
+    lambda name, value: f"{name}={value}", _OPTION_NAMES, _VALUES
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=_COMMANDS, rest=st.lists(_TOKENS, max_size=7))
+def test_any_argv_keeps_the_exit_code_contract(command, rest):
+    with tempfile.TemporaryDirectory() as scratch:
+        here = os.getcwd()
+        os.chdir(scratch)  # --out and --in values name files in here
+        try:
+            result = CliRunner().invoke(cli.main, command + rest, input=CHAIN)
+        finally:
+            os.chdir(here)
+    assert result.exit_code in (0, 2, 3, 4), (command + rest, result.exception)
+    assert "Traceback" not in result.stderr
+    if result.exit_code == 2:
+        assert result.stdout == ""

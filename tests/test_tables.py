@@ -18,6 +18,7 @@ from monobrick.verify import (
     EXPECTED_COUNTS,
     check_arc_agreement,
     check_census,
+    check_identification,
     check_left_schur,
     check_structural_identities,
     closure_row_problems,
@@ -89,7 +90,7 @@ def test_arc_agreement_reports_both_sides_of_a_query(monkeypatch, method, mismat
 # Each audit below runs on a fresh a2_linear oracle that answers one
 # question wrongly on one input.  Its bricks are 1, 2 and 2/1; the cofinal
 # closure of the monobrick {2/1} is {1, 2/1}, whose maximal element is 2/1.
-ONE, TWO_ONE = ("1",), ("2/1",)
+ONE, TWO, TWO_ONE = ("1",), ("2",), ("2/1",)
 CHAIN = frozenset({ONE, TWO_ONE})
 
 
@@ -119,6 +120,46 @@ def test_census_reports_disagreeing_mono_checks():
     assert problems == [
         "element and factored mono checks disagree on (('1',), ('2/1',))"
     ]
+
+
+def test_census_reports_a_semibrick_that_is_no_monobrick():
+    # {2, 2/1} is no monobrick (2/1 maps onto 2); it stands in for the
+    # semibrick {2}, so every count still matches.
+    class Swapped(Oracle):
+        def semibricks(self):
+            swap = {frozenset({TWO}): frozenset({TWO, TWO_ONE})}
+            return tuple(swap.get(s, s) for s in super().semibricks())
+
+    problems = _problems(check_census(Swapped(get_preset("a2_linear"))))
+    assert problems == ["semibrick census is not a subset of the monobricks"]
+
+
+def test_structural_identities_report_a_semibrick_that_reads_not_wide():
+    # {1} is a semibrick, so the filtration of it must read wide.
+    class Narrow(Oracle):
+        def closure_flags(self, e):
+            flags = super().closure_flags(e)
+            if frozenset(e) == self.filt([ONE]):
+                return flags._replace(cokernels=False)
+            return flags
+
+    problems = _problems(check_structural_identities(Narrow(get_preset("a2_linear"))))
+    assert "{1}: wide verdict disagrees with the semibrick census" in problems
+
+
+def test_identification_reports_a_member_of_dimension_three():
+    # 1 + 2/1 has dimension 3, the largest the audit round-trips.
+    target, other = ("1", "2/1"), ("1", "1", "2")
+
+    class Mistaken(Oracle):
+        def identify(self, rep, strict=False):
+            found = super().identify(rep, strict)
+            return other if strict and found == target else found
+
+    oracle = Mistaken(get_preset("a2_linear"))
+    assert oracle.dim_of(target) == 3
+    problems = _problems(check_identification(oracle))
+    assert problems == [f"{target} came back as {other}"]
 
 
 def test_structural_identities_report_a_w_map_that_keeps_its_input():
