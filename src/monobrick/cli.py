@@ -27,9 +27,13 @@ imports.  The rest load on use: the clique-search engine ``search`` in
 ``ncl`` are plain ``__slots__`` classes, and the oracle's records are
 ``typing.NamedTuple`` classes.
 
-Exit codes are a stable contract: 0 success, 1 a verification suite
-reported failures, 2 command-line misuse, 3 enumeration budget, query
-rank cap or render cell cap exceeded, 4 mathematically invalid input data.
+Exit codes are a stable contract: 0 success; 1 a verification suite
+reported failures, stdout was closed or failed, or the run was
+interrupted; 2 command-line misuse, an unreadable ``--in`` or an
+unwritable ``--out``; 3 enumeration budget, query rank cap or render cell
+cap exceeded, each a ``diagrams.BudgetExceeded``; 4 mathematically
+invalid input data.  ``Command.main`` maps them all, and flushes stdout so
+that a failed write is reported there rather than at interpreter exit.
 """
 
 import json
@@ -59,7 +63,7 @@ from monobrick.ncl import (
     partition_to_json,
     to_diagram,
 )
-from monobrick.render import PictureTooLarge, render_diagram
+from monobrick.render import render_diagram
 
 
 class CliError(Exception):
@@ -84,12 +88,6 @@ class DataError(CliError):
     """Input parsed as JSON but is mathematically invalid."""
 
     exit_code = 4
-
-
-class BudgetError(CliError):
-    """Requested rank exceeds the enumeration budget."""
-
-    exit_code = 3
 
 
 _KINDS = {
@@ -253,17 +251,24 @@ class Command:
         if prog_name is None:
             prog_name = _program_name()
         try:
-            _run(self, list(args), prog_name)
-        except CliError as exc:
+            try:
+                _run(self, list(args), prog_name)
+            finally:
+                sys.stdout.flush()
+        except (CliError, BudgetExceeded) as exc:
             if getattr(exc, "usage", ""):
                 sys.stderr.write(exc.usage + "\n")
             sys.stderr.write(f"Error: {exc}\n")
             sys.stderr.flush()
-            sys.exit(exc.exit_code)
-        except BrokenPipeError:
-            # The reader went away: exit 1, and keep the flush at exit quiet.
-            sys.stdout = _Pacified(sys.stdout)
-            sys.stderr = _Pacified(sys.stderr)
+            sys.exit(getattr(exc, "exit_code", 3))  # 3 for a work-bound refusal
+        except OSError as exc:
+            # Only stdout fails here: _sink and _read_json report the other
+            # files.  Point it at /dev/null, as the signal module's note on
+            # SIGPIPE does, so that the flush at exit is quiet; a closed pipe
+            # (the reader went away) is no error worth a message.
+            if not isinstance(exc, BrokenPipeError):
+                sys.stderr.write(f"Error: cannot write stdout: {exc.strerror}\n")
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(1)
         except (EOFError, KeyboardInterrupt):
             sys.stderr.write("\nAborted!\n")
@@ -276,22 +281,6 @@ class Command:
             self.commands[name] = command
             return command
         return register
-
-
-class _Pacified:
-    """A stream whose flush ignores a closed pipe."""
-
-    def __init__(self, stream) -> None:
-        self._stream = stream
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-    def flush(self) -> None:
-        try:
-            self._stream.flush()
-        except BrokenPipeError:
-            pass
 
 
 def _program_name() -> str:
@@ -481,16 +470,16 @@ main = Command("main", None, (_VERSION,),
 
 @contextmanager
 def _sink(out_path):
+    """stdout, or the ``--out`` file; a failure to open, write or close the
+    file is a usage error."""
     if out_path is None:
         yield sys.stdout
         return
     try:
-        fh = open(out_path, "w", encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
-        message = f"cannot write --out {out_path}: {exc.strerror}"
-        raise UsageError(message) from exc
-    with fh:
-        yield fh
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 def _dumps(payload) -> str:
@@ -550,6 +539,9 @@ def _read_json(in_path):
         raise DataError(f"input is not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
         raise DataError(f"input JSON cannot be read: {exc}") from exc
+    except OSError as exc:
+        source = "stdin" if in_path is None else f"--in {in_path}"
+        raise UsageError(f"cannot read {source}: {exc.strerror}") from exc
     if not isinstance(payload, dict):
         raise DataError("input must be a JSON object")
     return payload
@@ -557,7 +549,7 @@ def _read_json(in_path):
 
 def _cap_query(size: int, what: str) -> None:
     if size > QUERY_RANK_CAP:
-        raise BudgetError(f"{what} {size} exceeds the query cap {QUERY_RANK_CAP}")
+        raise BudgetExceeded(f"{what} {size} exceeds the query cap {QUERY_RANK_CAP}")
 
 
 def _diagram_of(payload) -> Diagram:
@@ -603,10 +595,7 @@ def enumerate_command(family, rank, kind, budget, out_path):
     The final line is {"count":N}.
     """
     algebra = _make_algebra(family, rank)
-    try:
-        check_budget(algebra, _budget_override(family, budget))
-    except BudgetExceeded as exc:
-        raise BudgetError(str(exc)) from exc
+    check_budget(algebra, _budget_override(family, budget))
     from monobrick.search import arc_table, json_lines
 
     table = arc_table(algebra)
@@ -639,25 +628,22 @@ def count_command(family, n_max, n_min, kind, budget, fmt, out_path):
     # Ranks valid at n_min are valid above it, and the cap bites at n_max:
     # refuse the range before counting any rank.
     _make_algebra(family, n_min)
+    check_budget(_make_algebra(family, n_max), limit)
     rows = []
-    try:
-        check_budget(_make_algebra(family, n_max), limit)
-        for rank in range(n_min, n_max + 1):
-            algebra = _make_algebra(family, rank)
-            enumerated = count_diagrams(algebra, diagram_kind, limit)
-            closed = count_closed_form(algebra, diagram_kind)
-            if diagram_kind is DiagramKind.MONOBRICK:
-                second = (
-                    linear_count_from_recurrence(rank)
-                    if family == "A"
-                    else cyclic_count_from_recurrence(rank)
-                )
-                recurrence_ok = second == enumerated
-            else:
-                recurrence_ok = None
-            rows.append((rank, enumerated, closed, recurrence_ok))
-    except BudgetExceeded as exc:
-        raise BudgetError(str(exc)) from exc
+    for rank in range(n_min, n_max + 1):
+        algebra = _make_algebra(family, rank)
+        enumerated = count_diagrams(algebra, diagram_kind, limit)
+        closed = count_closed_form(algebra, diagram_kind)
+        if diagram_kind is DiagramKind.MONOBRICK:
+            second = (
+                linear_count_from_recurrence(rank)
+                if family == "A"
+                else cyclic_count_from_recurrence(rank)
+            )
+            recurrence_ok = second == enumerated
+        else:
+            recurrence_ok = None
+        rows.append((rank, enumerated, closed, recurrence_ok))
 
     with _sink(out_path) as fh:
         if fmt == "json":
@@ -792,11 +778,7 @@ def render_command(in_path, out_path):
     picture of more than 4,000,000 cells (a row per arc level plus the
     baseline, four columns per baseline mark) is refused with exit code 3.
     """
-    diagram = _diagram_of(_read_json(in_path))
-    try:
-        picture = render_diagram(diagram)
-    except PictureTooLarge as exc:
-        raise BudgetError(str(exc)) from exc
+    picture = render_diagram(_diagram_of(_read_json(in_path)))
     with _sink(out_path) as fh:
         fh.write(picture + "\n")
 

@@ -37,7 +37,10 @@ DEFAULT_BUDGET = {"A": 10, "B": 7}
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration refused: the rank exceeds the configured budget."""
+    """Work refused past a documented bound: the enumeration budget on the
+    rank (``check_budget``), the query rank cap of the ``closure``, ``mmax``,
+    ``ncl`` and ``render`` commands, or the render cell cap
+    (``render.PictureTooLarge``).  The command line exits 3 on any of them."""
 
 
 class DiagramKind(enum.Enum):

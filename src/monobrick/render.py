@@ -14,7 +14,7 @@ never overwritten by a neighbouring bar.
 from bisect import bisect_right
 
 from monobrick.arcs import arc_length, reduce_mark
-from monobrick.diagrams import Diagram
+from monobrick.diagrams import BudgetExceeded, Diagram
 
 _STEP = 4
 
@@ -25,8 +25,9 @@ _STEP = 4
 CELL_CAP = 4_000_000
 
 
-class PictureTooLarge(RuntimeError):
-    """Rendering refused: the picture would exceed ``CELL_CAP`` cells."""
+class PictureTooLarge(BudgetExceeded):
+    """Rendering refused: the picture would exceed ``CELL_CAP`` cells, one
+    of the work bounds that :class:`BudgetExceeded` stands for."""
 
 
 def _column(position: int) -> int:

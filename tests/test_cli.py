@@ -5,6 +5,7 @@ The exit code contract is load-bearing: 0 success, 1 failed audit,
 click's CliRunner, so stdout and stderr are captured separately.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -35,16 +36,32 @@ def invoke(runner, args, **kwargs):
     return runner.invoke(cli.main, args, catch_exceptions=False, **kwargs)
 
 
-def run_module(*args, stdin=None):
-    """Run ``python ARGS`` in a fresh interpreter that imports this package."""
+def assert_refused(result, message):
+    """An exit-3 refusal: nothing on stdout, and on stderr one ``Error:``
+    line with no usage block."""
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        3, "", f"Error: {message}\n"
+    ), result.exception
+
+
+def module_env(**changes):
+    """The environment with this package on ``PYTHONPATH``; a change to
+    None unsets the variable."""
     src = str(Path(monobrick.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **changes}
+    return {name: value for name, value in env.items() if value is not None}
+
+
+def run_module(*args, stdin=None, stdout=subprocess.PIPE, **env):
+    """Run ``python ARGS`` in a fresh interpreter that imports this package."""
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         input=stdin,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(**env),
     )
 
 
@@ -235,8 +252,7 @@ def test_enumerate_writes_pieces_of_one_size(chunks):
 
 def test_enumerate_budget_exit_code(runner):
     result = runner.invoke(cli.main, ["enumerate", "--algebra", "B", "--n", "8"])
-    assert result.exit_code == 3
-    assert "budget" in result.stderr
+    assert_refused(result, "rank 8 of CyclicB(8) exceeds enumeration budget 7")
 
 
 def test_enumerate_env_budget_override(runner):
@@ -245,7 +261,7 @@ def test_enumerate_env_budget_override(runner):
         ["enumerate", "--algebra", "B", "--n", "3"],
         env={"MONOBRICK_BUDGET_B": "2"},
     )
-    assert result.exit_code == 3
+    assert_refused(result, "rank 3 of CyclicB(3) exceeds enumeration budget 2")
     # A bad env value is a usage problem, not a math problem.
     result = runner.invoke(
         cli.main,
@@ -274,14 +290,15 @@ def test_budget_override_takes_ascii_digits_only(runner, raw):
 def test_budget_override_accepts_plain_digits(runner):
     command = ["enumerate", "--algebra", "B", "--n", "3"]
     assert runner.invoke(cli.main, command + ["--budget", "3"]).exit_code == 0
-    assert runner.invoke(cli.main, command + ["--budget", "2"]).exit_code == 3
+    over = "rank 3 of CyclicB(3) exceeds enumeration budget 2"
+    assert_refused(runner.invoke(cli.main, command + ["--budget", "2"]), over)
     assert runner.invoke(
         cli.main, command, env={"MONOBRICK_BUDGET_B": "03"}
     ).exit_code == 0
     result = runner.invoke(
         cli.main, ["count", "--algebra", "B", "--n-max", "3", "--budget", "2"]
     )
-    assert result.exit_code == 3
+    assert_refused(result, over)
 
 
 @pytest.mark.parametrize(
@@ -453,16 +470,14 @@ def test_count_over_budget_exits_before_any_work(runner, tmp_path, monkeypatch):
     # enumerate and count_diagrams import arc_table from search when they run.
     monkeypatch.setattr(search, "arc_table", refuse)
     result = runner.invoke(cli.main, ["count", "--algebra", "A", "--n-max", "11"])
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert "budget" in result.stderr
+    assert_refused(result, "rank 11 of LinearA(11) exceeds enumeration budget 10")
     target = tmp_path / "table.md"
     target.write_bytes(b"earlier table\n")
     result = runner.invoke(
         cli.main,
         ["count", "--algebra", "B", "--n-max", "8", "--out", str(target)],
     )
-    assert result.exit_code == 3
+    assert_refused(result, "rank 8 of CyclicB(8) exceeds enumeration budget 7")
     assert target.read_bytes() == b"earlier table\n"
 
 
@@ -598,9 +613,7 @@ def test_diagram_queries_take_the_cap_and_refuse_one_more(
     assert at_cap.stdout
     monkeypatch.setattr(*work, _refuse)
     over = runner.invoke(cli.main, [command], input=_wide(CAP + 1))
-    assert over.exit_code == 3, over.exception
-    assert over.stdout == ""
-    assert f"rank {CAP + 1} exceeds the query cap {CAP}" in over.stderr
+    assert_refused(over, f"rank {CAP + 1} exceeds the query cap {CAP}")
 
 
 def test_ncl_takes_the_cap_and_refuses_one_more(runner, monkeypatch):
@@ -617,13 +630,10 @@ def test_ncl_takes_the_cap_and_refuses_one_more(runner, monkeypatch):
     monkeypatch.setattr(cli, "from_diagram", _refuse)
     over = json.dumps({"n": CAP + 1, "blocks": [[1]]})
     result = runner.invoke(cli.main, ["ncl"], input=over)
-    assert result.exit_code == 3, result.exception
-    assert result.stdout == ""
-    assert f"ground set size {CAP + 1} exceeds the query cap" in result.stderr
+    assert_refused(result, f"ground set size {CAP + 1} exceeds the query cap {CAP}")
     over = json.dumps({"n": CAP + 1, "algebra": "A", "arcs": []})
     result = runner.invoke(cli.main, ["ncl"], input=over)
-    assert result.exit_code == 3, result.exception
-    assert result.stdout == ""
+    assert_refused(result, f"rank {CAP + 1} exceeds the query cap {CAP}")
 
 
 @pytest.mark.parametrize(
@@ -1009,11 +1019,13 @@ def test_render_takes_a_picture_at_the_cell_cap_and_refuses_a_larger_one(runner)
     assert at_cap.exit_code == 0
     rows = at_cap.stdout.splitlines()
     assert len(rows) == 500 and len(rows[-1]) == 8000
-    for rank, arcs in [(1999, 500), (9999, 5000)]:
+    for rank, arcs, levels in [(1999, 500, 499), (9999, 5000, 98)]:
         over = runner.invoke(cli.main, ["render"], input=_nested(rank, arcs))
-        assert over.exit_code == 3, over.exception
-        assert over.stdout == ""
-        assert f"render cap of {render.CELL_CAP} cells" in over.stderr
+        assert_refused(
+            over,
+            f"picture needs more than {levels} arc levels at its width, "
+            f"over the render cap of {render.CELL_CAP} cells",
+        )
 
 
 def test_render_places_many_short_arcs_quickly(runner):
@@ -1037,6 +1049,94 @@ def test_render_help_states_the_cell_cap(runner):
 
 def test_version_flag(runner):
     assert invoke(runner, ["--version"]).exit_code == 0
+
+
+# -- the other exits: a closed or failing output, an interrupt --------------
+
+_NO_SPACE = os.strerror(errno.ENOSPC)
+_NEEDS_DEV_FULL = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full to fail writes"
+)
+_BUFFERING = pytest.mark.parametrize(
+    "unbuffered", ["1", None], ids=["unbuffered", "buffered"]
+)
+
+
+@_BUFFERING
+def test_a_closed_pipe_exits_1_quietly(unbuffered):
+    args = [sys.executable, "-m", "monobrick.cli", "enumerate", "--algebra", "A", "--n", "9"]
+    with subprocess.Popen(
+        args,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(PYTHONUNBUFFERED=unbuffered),
+    ) as proc:
+        assert proc.stdout.read(5) == b'{"n":'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
+def test_an_interrupt_prints_aborted_and_exits_1(runner, monkeypatch):
+    def interrupt(**options):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.closure_command, "callback", interrupt)
+    result = runner.invoke(cli.main, ["closure"], input=CHAIN)
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+
+def test_the_program_is_named_as_it_was_run():
+    proc = run_module("-m", "monobrick.cli", "frobnicate")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0] == (
+        "Usage: python -m monobrick.cli [OPTIONS] COMMAND [ARGS]..."
+    )
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "--algebra", "A", "--n", "3"], ["oracle", "verify", "--preset", "a2_linear"]],
+    ids=["enumerate", "oracle-verify"],
+)
+def test_an_out_file_that_cannot_be_written_exits_2(args):
+    # Opening /dev/full succeeds; the write or the close at the end fails.
+    proc = run_module("-m", "monobrick.cli", *args, "--out", "/dev/full")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("Usage: python -m monobrick.cli ")
+    assert proc.stderr.endswith(f"\n\nError: cannot write --out /dev/full: {_NO_SPACE}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+def test_an_in_file_that_cannot_be_read_exits_2():
+    # The file opens, but reading at offset 0 of the process memory fails.
+    proc = run_module("-m", "monobrick.cli", "closure", "--in", "/proc/self/mem")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Usage: python -m monobrick.cli closure [OPTIONS]\n")
+    assert proc.stderr.endswith(
+        f"\n\nError: cannot read --in /proc/self/mem: {os.strerror(errno.EIO)}\n"
+    )
+
+
+@_NEEDS_DEV_FULL
+@_BUFFERING
+@pytest.mark.parametrize(
+    "args",
+    [["closure"], ["oracle", "verify", "--preset", "a2_linear"], ["--version"]],
+    ids=["closure", "oracle-verify", "version"],
+)
+def test_a_stdout_that_cannot_be_written_exits_1(args, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_module(
+            "-m", "monobrick.cli", *args, stdin=CHAIN, stdout=full,
+            PYTHONUNBUFFERED=unbuffered,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"Error: cannot write stdout: {_NO_SPACE}\n"
 
 
 # -- misuse: exit codes and exact stderr -----------------------------------

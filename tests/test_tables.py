@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from monobrick.arcs import Arc, HomKind
 from monobrick.oracle import Oracle, get_oracle
 from monobrick.presets import PRESETS as PRESET_TABLE, get_preset
 from monobrick.verify import (
@@ -21,6 +22,7 @@ from monobrick.verify import (
     check_identification,
     check_left_schur,
     check_structural_identities,
+    check_universe_size,
     closure_row_problems,
     run_checks,
 )
@@ -203,6 +205,83 @@ def test_structural_identities_report_a_closure_that_misses_mmax():
         "{1, 2/1}: closure does not undo mmax on a cofinally closed monobrick"
         in problems
     )
+
+
+def test_universe_size_reports_a_short_universe():
+    # Dimension bound 5 leaves out the members of dimension 6.
+    problems = _problems(check_universe_size(Oracle(get_preset("a2_linear"), 5)))
+    assert problems == ["universe has 34 members, expected 50"]
+
+
+def test_census_reports_a_closure_that_closes_everything():
+    class Identity(Oracle):
+        def cofinal_closure(self, bricks):
+            return frozenset(bricks)
+
+    problems = _problems(check_census(Identity(get_preset("a2_linear"))))
+    assert problems == [
+        "6 cofinally closed monobricks, expected 5 (one per semibrick)"
+    ]
+
+
+def test_arc_agreement_reports_a_wrong_hom_kind():
+    # The arc of 1 is (1,2) and that of 2/1 is (1,3); 1 embeds in 2/1.
+    class Blind(Oracle):
+        def hom_kind(self, x, y):
+            if (x, y) == (ONE, TWO_ONE):
+                return HomKind.ZERO
+            return super().hom_kind(x, y)
+
+    problems = _problems(check_arc_agreement(Blind(get_preset("a2_linear"))))
+    assert problems == [
+        f"hom {Arc(1, 2)}->{Arc(1, 3)}: arc rule INJECTION, model ZERO"
+    ]
+
+
+def test_arc_agreement_reports_a_missing_semibrick():
+    class Short(Oracle):
+        def semibricks(self):
+            return tuple(s for s in super().semibricks() if s != {TWO})
+
+    problems = _problems(check_arc_agreement(Short(get_preset("a2_linear"))))
+    assert problems == ["Semibrick families disagree, e.g. {2}"]
+
+
+def test_structural_identities_report_simples_that_miss_the_monobrick():
+    class Blank(Oracle):
+        def simp(self, e):
+            if frozenset(e) == self.filt([ONE]):
+                return frozenset()
+            return super().simp(e)
+
+    problems = _problems(check_structural_identities(Blank(get_preset("a2_linear"))))
+    assert "{1}: simples of the filtration closure differ" in problems
+
+
+def test_structural_identities_report_an_f_map_output_that_is_not_torsion_free():
+    # The filtration of 2/1 alone misses its subobject 1.
+    class Unclosed(Oracle):
+        def f_map(self, bricks):
+            if frozenset(bricks) == {TWO_ONE}:
+                return self.filt(bricks)
+            return super().f_map(bricks)
+
+    oracle = Unclosed(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    assert "{2/1}: f_map output is not a torsion-free class" in problems
+
+
+def test_closure_row_reports_wrong_maximal_elements():
+    row = next(r for r in CLOSURE_TABLES["nak2"] if r.members == {"1", "2/1"})
+
+    class Flat(Oracle):
+        def mmax(self, bricks):
+            if frozenset(bricks) == CHAIN:
+                return frozenset(bricks)
+            return super().mmax(bricks)
+
+    problems = closure_row_problems(Flat(get_preset("nak2")), row)
+    assert problems == ["{1, 2/1}: maximal elements {1, 2/1}, expected {2/1}"]
 
 
 def test_serial_presets_cover_everything_but_the_source():
