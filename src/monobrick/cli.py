@@ -33,7 +33,9 @@ interrupted; 2 command-line misuse, an unreadable ``--in`` or an
 unwritable ``--out``; 3 enumeration budget, query rank cap or render cell
 cap exceeded, each a ``diagrams.BudgetExceeded``; 4 mathematically
 invalid input data.  ``Command.main`` maps them all, and flushes stdout so
-that a failed write is reported there rather than at interpreter exit.
+that a failed write is reported there rather than at interpreter exit.  A
+stderr that cannot be written changes no exit code: every line there goes
+through ``_say``.
 """
 
 import json
@@ -257,9 +259,8 @@ class Command:
                 sys.stdout.flush()
         except (CliError, BudgetExceeded) as exc:
             if getattr(exc, "usage", ""):
-                sys.stderr.write(exc.usage + "\n")
-            sys.stderr.write(f"Error: {exc}\n")
-            sys.stderr.flush()
+                _say(exc.usage + "\n")
+            _say(f"Error: {exc}\n")
             sys.exit(getattr(exc, "exit_code", 3))  # 3 for a work-bound refusal
         except OSError as exc:
             # Only stdout fails here: _sink and _read_json report the other
@@ -267,11 +268,11 @@ class Command:
             # SIGPIPE does, so that the flush at exit is quiet; a closed pipe
             # (the reader went away) is no error worth a message.
             if not isinstance(exc, BrokenPipeError):
-                sys.stderr.write(f"Error: cannot write stdout: {exc.strerror}\n")
+                _say(f"Error: cannot write stdout: {exc.strerror}\n")
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(1)
         except (EOFError, KeyboardInterrupt):
-            sys.stderr.write("\nAborted!\n")
+            _say("\nAborted!\n")
             sys.exit(1)
 
     def command(self, name, *options):
@@ -281,6 +282,16 @@ class Command:
             self.commands[name] = command
             return command
         return register
+
+
+def _say(text: str) -> None:
+    """Write ``text`` to stderr.  A stderr that fails cannot change the exit
+    code: fd 2 then points at /dev/null, so the flush at exit is quiet."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
 
 
 def _program_name() -> str:
@@ -303,7 +314,7 @@ def _usage_line(command: Command, path: str) -> str:
 
 def _run(command: Command, args: list, path: str) -> None:
     if command.commands is not None and not args:
-        sys.stderr.write(_help(command, path) + "\n")
+        _say(_help(command, path) + "\n")
         sys.exit(2)
     try:
         values, rest = _parse(command, args, path)

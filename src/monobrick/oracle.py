@@ -25,10 +25,12 @@ Inside the subcategory layer a set of members is an ``int`` mask over
 is validated and turned into its mask in one pass, once per call, and
 everything after reads only the mask.  Each member's subquotient table is
 turned, on first use, into masks: one per proper nonzero (subobject,
-quotient) pair, the union of its subobjects, and the union of its quotients.
-``simp`` keeps the members with no pair mask inside the set; the other
-closure flags are ANDs and ORs of the unions, which ``closure_flags`` builds
-once per set, and its left Schur flag reads the same unions at the simples.
+quotient) pair, the union of its subobjects, the union of its quotients, and
+the union of the members it leaves when one summand is removed.  ``simp``
+keeps the members with no pair mask inside the set; the other closure flags
+are ANDs and ORs of the unions, which ``closure_flags`` builds once per set
+from one decode of its mask, and its left Schur flag reads the same unions at
+the simples.
 One engine closes sets under extensions, ``_extend_filt``: a member can join
 a closed set only through a split that meets the new members, so it
 forward-chains over watch lists that name, for each member, the split masks
@@ -59,11 +61,13 @@ basis row once.  Reduction modulo a target subspace is linear, and a matrix
 row with one nonzero entry reduces to a multiple of one unit vector
 reduced, which the id of a basis row names; so target classes are keyed by
 those ids, and only rows with more nonzero entries are reduced for every
-subspace.  The two halves of every block pair are interned on their own.  A
-walk leaf is its sub dimensions and block ids, collected once per member;
-its sub- and quotient representation are identified once per oracle,
-memoised on their dimensions and the half ids of their blocks, and only a
-new one is assembled from the blocks and handed to ``identify``.
+subspace.  The two halves of every block pair are interned on their own,
+and the walk reads the half ids of each block it passes.  A walk leaf is a
+nontrivial tuple's sub dimensions and sub-half ids, then its quotient
+dimensions and quotient-half ids, collected once per member.  Each half of a
+leaf determines its side, so the sub and the quotient are identified once
+per oracle, memoised on that half, and only a new one is assembled from the
+half matrices and handed to ``identify``.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import itertools
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from monobrick import fp
@@ -99,6 +103,7 @@ class _MemberMasks(NamedTuple):
     subs: int  # every subobject, 0 and the member included
     quots: int  # every quotient, 0 and the member included
     pairs: tuple[tuple[int, int], ...]  # (a, q) with a and q nonzero
+    parts: int  # the member with one summand removed, each way
 
 
 class _ArrowTable(NamedTuple):
@@ -246,9 +251,11 @@ class Oracle:
         self._blocks: list[tuple[fp.Matrix, fp.Matrix]] = []
         self._block_ids: dict[tuple[fp.Matrix, fp.Matrix], int] = {}
         # Each block's (sub half, quotient half) as ids of distinct matrices,
-        # and the member identified for (dimensions, half ids) of a walk leaf.
+        # the matrix of each id, and the member identified for each side of a
+        # walk leaf: its dimensions, then its half ids in arrow order.
         self._block_halves: list[tuple[int, int]] = []
         self._half_ids: dict[fp.Matrix, int] = {}
+        self._half_mats: list[fp.Matrix] = []
         self._leaf_members: dict[tuple, Member] = {}
         # The classes at a vertex, keyed by its dimension and, for each table
         # there, twice the table's serial plus its role (1 for the target).
@@ -509,6 +516,15 @@ class Oracle:
         p = self.p
         blocks, block_ids = self._blocks, self._block_ids
         halves, half_ids = self._block_halves, self._half_ids
+        half_mats = self._half_mats
+
+        def intern_half(half: fp.Matrix) -> int:
+            hid = half_ids.get(half)
+            if hid is None:
+                hid = half_ids[half] = len(half_mats)
+                half_mats.append(half)
+            return hid
+
         # Subspaces share basis rows, so each row's image is computed once.
         images_of = [fp.vec_mat(u, mat, p) for u in _basis_rows(d_s, p)]
         sources: dict = {}  # (pivots, images) -> class, a representative basis
@@ -562,9 +578,7 @@ class Oracle:
             if bid is None:
                 bid = block_ids[pair] = len(blocks)
                 blocks.append(pair)
-                halves.append(tuple(
-                    half_ids.setdefault(half, len(half_ids)) for half in pair
-                ))
+                halves.append(tuple(map(intern_half, pair)))
             return bid
 
         entries = array("i", [
@@ -621,7 +635,7 @@ class Oracle:
         same dimension and the same class in every arrow table at the
         vertex, so the walk takes one subspace of each such vertex class.
         """
-        p, dims, blocks = self.p, rep.dims, self._blocks
+        p, dims = self.p, rep.dims
         arrows = self.preset.arrows
         nv = len(dims)
         tables = [
@@ -647,46 +661,46 @@ class Oracle:
             memo.get(key) or memo.setdefault(key, list(dict.fromkeys(zip(*cols))))
             for key, cols in zip(map(tuple, keys), columns)
         ]
-        chosen = [None] * nv
-        ids = [0] * len(arrows)
-        # A leaf is its sub dimensions and block ids; distinct stable tuples
+        chosen, sub_dims = [None] * nv, [0] * nv
+        sub_halves, quot_halves = [0] * len(arrows), [0] * len(arrows)
+        halves, total = self._block_halves, rep.total_dim
+        # A nontrivial leaf is its sub dimensions and sub-half ids, then its
+        # quotient dimensions and quotient-half ids; distinct stable tuples
         # often give the same leaf, which is then identified once.
         leaves = set()
 
         def walk(v: int) -> None:
             for c in classes[v]:
                 chosen[v] = c
+                sub_dims[v] = c[0]
                 for a, s, i, t, j, n_t, entries in checks[v]:
                     bid = entries[chosen[s][i] * n_t + chosen[t][j]]
                     if bid == _UNSTABLE:
                         break
-                    ids[a] = bid
+                    sub_halves[a], quot_halves[a] = halves[bid]
                 else:
                     if v + 1 < nv:
                         walk(v + 1)
-                    else:
-                        leaves.add((*[c[0] for c in chosen], *ids))
+                    elif 0 < sum(sub_dims) < total:
+                        leaves.add((
+                            *sub_dims, *sub_halves,
+                            *map(sub, dims, sub_dims), *quot_halves,
+                        ))
 
         walk(0)
-        halves, leaf_members = self._block_halves, self._leaf_members
-
-        def identified(dims, ids, side) -> Member:
-            # A leaf's sub (side 0) or quotient (side 1) is determined by its
-            # dimensions and the ids of its blocks' halves.
-            key = (dims, *[halves[b][side] for b in ids])
-            found = leaf_members.get(key)
-            if found is None:
-                found = leaf_members[key] = self.identify(
-                    Rep(dims, tuple(blocks[b][side] for b in ids))
-                )
-            return found
-
+        half_mats, leaf_members = self._half_mats, self._leaf_members
+        width = nv + len(arrows)  # of each side: its dimensions and half ids
         pairs = {(ZERO, member), (member, ZERO)}
         for leaf in leaves:
-            sub_dims, ids = leaf[:nv], leaf[nv:]
-            if 0 < sum(sub_dims) < rep.total_dim:
-                quot_dims = tuple([d - k for d, k in zip(dims, sub_dims)])
-                pairs.add((identified(sub_dims, ids, 0), identified(quot_dims, ids, 1)))
+            pair = []
+            for key in leaf[:width], leaf[width:]:
+                found = leaf_members.get(key)
+                if found is None:
+                    found = leaf_members[key] = self.identify(Rep(
+                        key[:nv], tuple(map(half_mats.__getitem__, key[nv:]))
+                    ))
+                pair.append(found)
+            pairs.add(tuple(pair))
         return frozenset(pairs)
 
     def subobjects(self, member: Member) -> frozenset[Member]:
@@ -816,16 +830,19 @@ class Oracle:
         """Member ``i``'s subquotient table as masks, built on first use."""
         masks = self._masks[i]
         if masks is None:
-            bit = self._bit
+            bit, x = self._bit, self.members[i]
             subs = quots = 0
             pairs = []
-            for a, q in self.subquotients(self.members[i]):
+            for a, q in self.subquotients(x):
                 subs |= bit[a]
                 quots |= bit[q]
                 if a != ZERO and q != ZERO:
                     pairs.append((bit[a], bit[q]))
             splits = tuple(sorted({a | q for a, q in pairs}))
-            masks = _MemberMasks(splits, subs, quots, tuple(pairs))
+            # Members are sorted tuples, so a member less one summand is a
+            # member's key; distinct bits sum to their union.
+            parts = sum({bit[x[:j] + x[j + 1 :]] for j in range(len(x))})
+            masks = _MemberMasks(splits, subs, quots, tuple(pairs), parts)
             self._masks[i] = masks
         return masks
 
@@ -848,8 +865,11 @@ class Oracle:
             members: list[list[int]] = [[] for _ in self.members]
             masks: list[list[int]] = [[] for _ in self.members]
             for i in range(len(self.members)):
+                # a split mask holds the bits of a subobject and its
+                # quotient, one bit when the two are the same member
                 for pm in self._member_masks(i).splits:
-                    for j in bit_indices(pm):
+                    low, high = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
+                    for j in (low, high) if low != high else (low,):
                         members[j].append(i)
                         masks[j].append(pm)
             self._watch = [(tuple(m), tuple(pms)) for m, pms in zip(members, masks)]
@@ -892,11 +912,14 @@ class Oracle:
             masks.append(self._extend_filt(masks[subset ^ 1 << top], bits[top]))
         return [self._filt_memo[m] for m in masks]
 
-    def _simple_indices(self, mask: int) -> list[int]:
-        """The members of ``mask`` but the zero module (index 0) with no
-        proper nonzero subobject in ``mask`` together with its quotient."""
+    def _simple_indices(self, mask: int, inside: tuple[int, ...]) -> list[int]:
+        """The members of ``mask``, whose indices are ``inside``, but the zero
+        module (index 0) with no proper nonzero subobject in ``mask``
+        together with its quotient."""
         simple = []
-        for i in bit_indices(mask & ~1):
+        for i in inside:
+            if not i:
+                continue
             for pm in self._member_masks(i).splits:
                 if pm & mask == pm:
                     break
@@ -906,7 +929,8 @@ class Oracle:
 
     def simp(self, e) -> frozenset[Member]:
         """Members with no proper nonzero subobject-quotient split inside e."""
-        simple = self._simple_indices(self._subcat_mask(e))
+        mask = self._subcat_mask(e)
+        simple = self._simple_indices(mask, bit_indices(mask))
         return frozenset(self.members[i] for i in simple)
 
     def closure_flags(self, e) -> ClosureFlags:
@@ -918,7 +942,7 @@ class Oracle:
 
     def _closure_flags(self, mask: int) -> ClosureFlags:
         inside = bit_indices(mask)
-        subs = quots = 0
+        subs = quots = parts = 0
         # Trivial pairs (0, x) and (x, 0) pass every test below, so only the
         # proper pairs of each member are scanned.
         pairs = []
@@ -926,17 +950,10 @@ class Oracle:
             masks = self._member_masks(i)
             subs |= masks.subs
             quots |= masks.quots
+            parts |= masks.parts
             pairs.append(masks.pairs)
         kernels = all(a & mask for ps in pairs for a, q in ps if q & subs)
         cokernels = all(q & mask for ps in pairs for a, q in ps if a & quots)
-
-        # Removing one summand at a time reaches every sub-multiset, and
-        # members are sorted tuples, so a removal is again a member's key.
-        summands = all(
-            self._bit[x[:j] + x[j + 1 :]] & mask
-            for x in map(self.members.__getitem__, inside)
-            for j in range(len(x))
-        )
         by_dim = Counter(map(self._total_dim.__getitem__, inside))
         skipped = sum(
             n * m
@@ -949,7 +966,8 @@ class Oracle:
             extensions=len(self._closure(mask)) == len(inside),
             subobjects=not subs & ~mask,
             quotients=not quots & ~mask,
-            summands=summands,
+            # removing one summand at a time reaches every sub-multiset
+            summands=not parts & ~mask,
             kernels=kernels,
             # a quotient of one member that is a subobject of another
             images=not subs & quots & ~mask,
@@ -958,7 +976,7 @@ class Oracle:
             # no simple has a quotient but 0 and itself that embeds in a member
             left_schur=not any(
                 self._member_masks(i).quots & subs & ~(1 | 1 << i)
-                for i in self._simple_indices(mask)
+                for i in self._simple_indices(mask, inside)
             ),
         )
 

@@ -53,12 +53,14 @@ def module_env(**changes):
     return {name: value for name, value in env.items() if value is not None}
 
 
-def run_module(*args, stdin=None, stdout=subprocess.PIPE, **env):
+def run_module(
+    *args, stdin=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env
+):
     """Run ``python ARGS`` in a fresh interpreter that imports this package."""
     return subprocess.run(
         [sys.executable, *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         input=stdin,
         env=module_env(**env),
@@ -1137,6 +1139,30 @@ def test_a_stdout_that_cannot_be_written_exits_1(args, unbuffered):
         )
     assert proc.returncode == 1
     assert proc.stderr == f"Error: cannot write stdout: {_NO_SPACE}\n"
+
+
+@_NEEDS_DEV_FULL
+@_BUFFERING
+@pytest.mark.parametrize(
+    "args,stdin,code",
+    [
+        (["enumerate", "--algebra", "C", "--n", "2"], None, 2),
+        (["enumerate", "--algebra", "B", "--n", "8"], None, 3),
+        (["closure"], "{not json", 4),
+    ],
+    ids=["usage", "budget", "data"],
+)
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(
+    args, stdin, code, unbuffered
+):
+    # The Error: line fails to write, and so would the flush at exit.
+    with open("/dev/full", "w") as full:
+        proc = run_module(
+            "-m", "monobrick.cli", *args, stdin=stdin, stderr=full,
+            PYTHONUNBUFFERED=unbuffered,
+        )
+    assert proc.returncode == code
+    assert proc.stdout == ""
 
 
 # -- misuse: exit codes and exact stderr -----------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from literal_tables import coords_in_span, literal_entry, literal_subspaces
 
 from monobrick import fp, verify
+from monobrick.diagrams import bit_indices
 from monobrick.oracle import _UNSTABLE, ZERO, Oracle, get_oracle
 from monobrick.presets import PRESET_NAMES, Rep, get_preset
 from monobrick.verify import run_checks
@@ -259,6 +260,34 @@ def test_run_checks_work_is_pinned(name, monkeypatch):
     monkeypatch.setattr(verify, "get_oracle", fresh_oracle)
     assert all(r.passed for r in run_checks(name, 3))
     assert [(o.hom_systems, o.identified) for o in built] == [WORK_AT_P3[name]]
+
+
+# Calls to ``bit_indices`` in run_checks(name, 3) on a fresh oracle: a
+# second decode of one mask, or a decode per split mask, moves the count.
+DECODES_AT_P3 = {
+    "a2_linear": 44,
+    "a3_linear": 207,
+    "a3_source": 226,
+    "nak2": 67,
+    "b3": 911,
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_checks_decodes_are_pinned(name, monkeypatch):
+    decoded = []
+
+    def counting_bit_indices(mask):
+        decoded.append(mask)
+        return bit_indices(mask)
+
+    monkeypatch.setattr("monobrick.oracle.bit_indices", counting_bit_indices)
+    monkeypatch.setattr(
+        verify, "get_oracle",
+        lambda preset_name, dim_bound, p: Oracle(get_preset(preset_name, p), dim_bound),
+    )
+    assert all(r.passed for r in run_checks(name, 3))
+    assert len(decoded) == DECODES_AT_P3[name]
 
 
 # sha256 over every member's sorted subquotient table, one line per member

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from monobrick.arcs import Arc, HomKind
-from monobrick.oracle import Oracle, get_oracle
+from monobrick.oracle import Oracle, OracleError, get_oracle
 from monobrick.presets import PRESETS as PRESET_TABLE, get_preset
 from monobrick.verify import (
     CLOSURE_TABLES,
@@ -298,3 +298,64 @@ def test_table_rows_are_distinct():
     for preset, table in CLOSURE_TABLES.items():
         members = [row.members for row in table]
         assert len(set(members)) == len(members), preset
+
+
+def test_identification_reports_a_failed_isomorphism_audit():
+    class Doubting(Oracle):
+        def assert_isomorphic(self, rep, member):
+            if member == TWO_ONE:
+                raise OracleError(f"no isomorphism onto {member} exists")
+            return super().assert_isomorphic(rep, member)
+
+    problems = _problems(check_identification(Doubting(get_preset("a2_linear"))))
+    assert problems == [
+        "isomorphism audit failed for 2/1: no isomorphism onto ('2/1',) exists"
+    ]
+
+
+def test_arc_agreement_reports_arcs_that_miss_a_brick():
+    # The arc (1,2) of 1 is sent to 2/1, the module of the arc (1,3).
+    class Merged(Oracle):
+        def arc_member(self, arc):
+            return TWO_ONE if arc == Arc(1, 2) else super().arc_member(arc)
+
+    problems = _problems(check_arc_agreement(Merged(get_preset("a2_linear"))))
+    assert "arcs do not biject onto the bricks" in problems
+
+
+def test_structural_identities_report_a_closure_outside_the_census():
+    # {2, 2/1} is no monobrick: 2/1 maps onto 2.
+    class Widened(Oracle):
+        def cofinal_closure(self, bricks):
+            if frozenset(bricks) == {TWO_ONE}:
+                return frozenset({TWO, TWO_ONE})
+            return super().cofinal_closure(bricks)
+
+    oracle = Widened(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    assert "{2/1}: cofinal closure is not a census monobrick" in problems
+
+
+def test_structural_identities_report_a_torsion_free_verdict_on_an_open_set():
+    # {2/1} is not cofinally closed, so its filtration must not read
+    # torsion-free; here it reads closed under subobjects.
+    class Closed(Oracle):
+        def closure_flags(self, e):
+            flags = super().closure_flags(e)
+            if frozenset(e) == self.filt([TWO_ONE]):
+                return flags._replace(subobjects=True)
+            return flags
+
+    oracle = Closed(get_preset("a2_linear"))
+    problems = _problems(check_structural_identities(oracle))
+    assert "{2/1}: torsion-free verdict disagrees with cofinal closedness" in problems
+
+
+def test_universe_size_reports_a_universe_that_does_not_start_at_zero():
+    class Rotated(Oracle):
+        def _build_universe(self):
+            members = super()._build_universe()
+            return members[1:] + members[:1]
+
+    problems = _problems(check_universe_size(Rotated(get_preset("a2_linear"))))
+    assert problems == ["the zero module is not the first member"]
