@@ -23,21 +23,24 @@ affordable.
 Inside the subcategory layer a set of members is an ``int`` mask over
 ``Oracle.index``; public inputs and outputs stay frozensets.  Each input set
 is validated and turned into its mask in one pass, once per call, and
-everything after reads only the mask.  Each member's subquotient table is
-turned, on first use, into masks: one per proper nonzero (subobject,
-quotient) pair, the union of its subobjects, the union of its quotients, and
-the union of the members it leaves when one summand is removed.  ``simp``
-keeps the members with no pair mask inside the set; the other closure flags
-are ANDs and ORs of the unions, which ``closure_flags`` builds once per set
-from one decode of its mask, and its left Schur flag reads the same unions at
-the simples.
+everything after reads only the mask.  At the first use of any, every
+member's subquotient table is turned into masks, one table per oracle: one
+per proper nonzero (subobject, quotient) pair, the union of its subobjects,
+the union of its quotients, and the union of the members it leaves when one
+summand is removed.  ``simp`` keeps the members with no pair mask inside the
+set; the other closure flags are ANDs and ORs of the unions, which
+``closure_flags`` builds once per set from one decode of its mask, and its
+left Schur flag reads the same unions at the simples.
 One engine closes sets under extensions, ``_extend_filt``: a member can join
 a closed set only through a split that meets the new members, so it
 forward-chains over watch lists that name, for each member, the split masks
 containing it.  ``filt`` runs it from the empty mask, the extension flag asks
 whether a set is its own closure, and ``subset_closures`` grows each subset's
-closure from that of a smaller subset.  ``filt`` (generator mask to closure) and
-``closure_flags`` (set mask to flags) are memoised per oracle.
+closure from that of a smaller subset.  The closure memo maps masks to masks:
+a generator mask to its closure, and every closure the engine computes to
+itself, so the extension flag of a closure is one lookup.  Frozensets are
+built only at the return, one per distinct closure.  ``closure_flags`` (set
+mask to flags) is memoised per oracle too.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -48,26 +51,27 @@ its pivots and the images of its basis, of the target subspace only its
 pivots and the matrix rows reduced modulo it; subspaces that agree on these
 form one class.  So each distinct arrow matrix gets one table, built on
 first use and shared by every member carrying that matrix: the class of
-every source and every target subspace, and per pair of classes an interned
-block-pair id or a sentinel for unstable pairs.  At a vertex, subspaces of
-one dimension with the same class in every table there are interchangeable,
-so a member's table walks one subspace per such vertex class, vertex by
-vertex, and drops a tuple at the first unstable arrow.  The vertex classes
-depend only on the dimension and the tables at the vertex, so each list of
-them is built once per oracle.  The tables read the subspaces of F_p^d
-through frames cached per (d, p), one tuple per field: pivots, non-pivot
-columns, bases and the ids of their rows, so each table maps every distinct
-basis row once.  Reduction modulo a target subspace is linear, and a matrix
-row with one nonzero entry reduces to a multiple of one unit vector
+every source and every target subspace, and per pair of classes the pair of
+ids of its sub block and its quotient block, or None for an unstable pair.
+Each block half is interned on its own, once per oracle.  At a vertex,
+subspaces of one dimension with the same class in every table there are
+interchangeable, so a member's table walks one subspace per such vertex
+class, vertex by vertex, and drops a tuple at the first unstable arrow.  The
+vertex classes depend only on the dimension and the tables at the vertex, so
+each list of them is built once per oracle.  The tables read the subspaces
+of F_p^d through one frame record per (d, p), one tuple per field: pivots,
+non-pivot columns, bases, the ids of their rows, the distinct rows
+themselves and the dimension of each subspace, so each table maps every
+distinct basis row once.  Reduction modulo a target subspace is linear, and
+a matrix row with one nonzero entry reduces to a multiple of one unit vector
 reduced, which the id of a basis row names; so target classes are keyed by
 those ids, and only rows with more nonzero entries are reduced for every
-subspace.  The two halves of every block pair are interned on their own,
-and the walk reads the half ids of each block it passes.  A walk leaf is a
-nontrivial tuple's sub dimensions and sub-half ids, then its quotient
-dimensions and quotient-half ids, collected once per member.  Each half of a
-leaf determines its side, so the sub and the quotient are identified once
-per oracle, memoised on that half, and only a new one is assembled from the
-half matrices and handed to ``identify``.
+subspace.  A walk leaf is a nontrivial tuple's sub dimensions and the sub
+half ids of its entries, then its quotient dimensions and quotient half
+ids, collected once per member.  Each half of a leaf determines its side, so
+the sub and the quotient are identified once per oracle, memoised on that
+half, and only a new one is assembled from the half matrices and handed to
+``identify``.
 """
 
 from __future__ import annotations
@@ -92,9 +96,6 @@ DEFAULT_DIM_BOUND = 6
 
 _ELEMENT_BUDGET = 70_000
 
-# Arrow-table entry for a pair of subspaces the arrow does not map inside.
-_UNSTABLE = -1
-
 
 class _MemberMasks(NamedTuple):
     """One member's subquotient table as masks over ``Oracle.index``."""
@@ -107,12 +108,14 @@ class _MemberMasks(NamedTuple):
 
 
 class _ArrowTable(NamedTuple):
-    """One arrow matrix's block-pair ids over classes of subspaces."""
+    """One arrow matrix's blocks over classes of subspaces, as half ids."""
 
     source_class: array  # class of each ``fp.subspaces(d_s, p)`` position
     target_class: array  # class of each ``fp.subspaces(d_t, p)`` position
     n_targets: int  # number of target classes
-    entries: array  # source class i, target class j at i * n_targets + j
+    # source class i, target class j at i * n_targets + j: the ids of the
+    # sub and the quotient block in ``Oracle._half_mats``, None if unstable
+    entries: list[tuple[int, int] | None]
     serial: int  # the table's position in ``Oracle._arrow_tables``
 
 
@@ -151,34 +154,26 @@ class ClosureFlags(NamedTuple):
         return self.extensions and self.subobjects
 
 
-@lru_cache(maxsize=None)
-def _subspace_dims(d: int, p: int) -> array:
-    """The dimension of every subspace of F_p^d, in ``fp.subspaces`` order."""
-    return array("B", (len(pivots) for _, pivots in fp.subspaces(d, p)))
-
-
 class _Frames(NamedTuple):
-    """What an arrow table reads of the subspaces of F_p^d, one tuple per
-    field in ``fp.subspaces`` order, so no record is built per subspace."""
+    """What an arrow table reads of the subspaces of F_p^d: one tuple per
+    field in ``fp.subspaces`` order, so no record is built per subspace,
+    and the distinct basis rows they share."""
 
     pivots: tuple[tuple[int, ...], ...]
     free: tuple[tuple[int, ...], ...]  # the non-pivot columns
     basis: tuple[fp.Matrix, ...]  # reduced echelon, row r pivoting at pivots[r]
-    row_ids: tuple[tuple[int, ...], ...]  # basis rows' indices in ``_basis_rows``
-
-
-@lru_cache(maxsize=None)
-def _basis_rows(d: int, p: int) -> tuple[fp.Vector, ...]:
-    """Every distinct basis row of the subspaces of F_p^d."""
-    return tuple(dict.fromkeys(u for basis, _ in fp.subspaces(d, p) for u in basis))
+    row_ids: tuple[tuple[int, ...], ...]  # basis rows' indices in ``rows``
+    rows: tuple[fp.Vector, ...]  # every distinct basis row
+    dims: array  # the dimension of each subspace
 
 
 @lru_cache(maxsize=None)
 def _frames(d: int, p: int) -> _Frames:
     """The frames of the subspaces of F_p^d; one ``free`` tuple per set of
-    pivots, and basis rows named by their ids in ``_basis_rows``."""
-    row_id = {u: k for k, u in enumerate(_basis_rows(d, p))}
+    pivots."""
     bases, pivots = zip(*fp.subspaces(d, p))
+    rows = tuple(dict.fromkeys(u for basis in bases for u in basis))
+    row_id = {u: k for k, u in enumerate(rows)}
     free_of = {
         pivs: tuple(c for c in range(d) if c not in pivs) for pivs in set(pivots)
     }
@@ -187,6 +182,8 @@ def _frames(d: int, p: int) -> _Frames:
         tuple(map(free_of.__getitem__, pivots)),
         bases,
         tuple(tuple(map(row_id.__getitem__, basis)) for basis in bases),
+        rows,
+        array("B", map(len, pivots)),
     )
 
 
@@ -248,12 +245,9 @@ class Oracle:
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
-        self._blocks: list[tuple[fp.Matrix, fp.Matrix]] = []
-        self._block_ids: dict[tuple[fp.Matrix, fp.Matrix], int] = {}
-        # Each block's (sub half, quotient half) as ids of distinct matrices,
-        # the matrix of each id, and the member identified for each side of a
-        # walk leaf: its dimensions, then its half ids in arrow order.
-        self._block_halves: list[tuple[int, int]] = []
+        # The id of every distinct half of a block, the matrix of each id, and
+        # the member identified for each side of a walk leaf: its dimensions,
+        # then its half ids in arrow order.
         self._half_ids: dict[fp.Matrix, int] = {}
         self._half_mats: list[fp.Matrix] = []
         self._leaf_members: dict[tuple, Member] = {}
@@ -270,9 +264,7 @@ class Oracle:
         self.members = self._build_universe()
         self.index = {m: i for i, m in enumerate(self.members)}
         self._bit = {m: 1 << i for i, m in enumerate(self.members)}
-        self._masks: list[_MemberMasks | None] = [None] * len(self.members)
-        self._filt_memo: dict[int, frozenset[Member]] = {}
-        self._watch: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._filt_memo: dict[int, int] = {}  # generator mask -> its closure
         self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = [self.dim_of(m) for m in self.members]
         # The members of each (dimensions, rank of each arrow matrix), and
@@ -496,27 +488,25 @@ class Oracle:
     # subquotient tables
 
     def _arrow_table(self, mat: fp.Matrix, d_s: int, d_t: int) -> _ArrowTable:
-        """Block-pair ids of one arrow matrix over classes of subspaces.
+        """The blocks of one arrow matrix over classes of subspaces.
 
         A source subspace enters an entry only through its pivots and the
         images of its basis, a target subspace only through its pivots and
         the matrix rows reduced modulo it; subspaces that agree on these
         form one class.  Entry ``i * n_targets + j`` covers source class
-        ``i`` and target class ``j``.  It is ``_UNSTABLE`` unless the matrix
-        maps the first into the second; otherwise it is the id in
-        ``self._blocks`` of the arrow's (sub block, quotient block): the
+        ``i`` and target class ``j``.  It is None unless the matrix maps the
+        first into the second; otherwise it is the arrow's sub block, the
         images of the source basis in coordinates of the target basis, and
-        the matrix on the non-pivot coordinates after reducing modulo the
-        two subspaces.
+        its quotient block, the matrix on the non-pivot coordinates after
+        reducing modulo the two subspaces, each named by its id in
+        ``self._half_mats``.
         """
         key = (mat, d_s, d_t)
         table = self._arrow_tables.get(key)
         if table is not None:
             return table
         p = self.p
-        blocks, block_ids = self._blocks, self._block_ids
-        halves, half_ids = self._block_halves, self._half_ids
-        half_mats = self._half_mats
+        half_ids, half_mats = self._half_ids, self._half_mats
 
         def intern_half(half: fp.Matrix) -> int:
             hid = half_ids.get(half)
@@ -526,10 +516,11 @@ class Oracle:
             return hid
 
         # Subspaces share basis rows, so each row's image is computed once.
-        images_of = [fp.vec_mat(u, mat, p) for u in _basis_rows(d_s, p)]
+        frames = _frames(d_s, p)
+        images_of = [fp.vec_mat(u, mat, p) for u in frames.rows]
         sources: dict = {}  # (pivots, images) -> class, a representative basis
         source_class = array("i")
-        for pivots, _, basis, row_ids in zip(*_frames(d_s, p)):
+        for pivots, basis, row_ids in zip(frames.pivots, frames.basis, frames.row_ids):
             source = (pivots, tuple(map(images_of.__getitem__, row_ids)))
             found = sources.get(source)
             if found is None:
@@ -547,7 +538,10 @@ class Oracle:
             picks.append(nonzero[0] if len(nonzero) == 1 else None if nonzero else -1)
         targets: dict = {}
         target_class = array("i")
-        for pivots, free, basis, row_ids in zip(*_frames(d_t, p)):
+        frames = _frames(d_t, p)
+        for pivots, free, basis, row_ids in zip(
+            frames.pivots, frames.free, frames.basis, frames.row_ids
+        ):
             names = tuple([
                 _reduced_row(row, pivots, free, basis, p) if c is None
                 else row_ids[pivots.index(c)] if c in pivots else -1
@@ -563,29 +557,25 @@ class Oracle:
                 )
             target_class.append(found[0])
 
-        def entry(pivots_s, images, basis_s, pivots_t, reduced, columns) -> int:
+        def entry(pivots_s, images, basis_s, pivots_t, reduced, columns):
             # Reduction modulo the target is linear, so u M lies in it iff
             # u times the reduced rows vanishes.
             for u in basis_s:
                 for col in columns:
                     if sum(map(mul, u, col)) % p:
-                        return _UNSTABLE
-            pair = (
-                tuple([tuple([im[c] for c in pivots_t]) for im in images]),
-                tuple(row for c, row in enumerate(reduced) if c not in pivots_s),
+                        return None
+            return (
+                intern_half(tuple([tuple([im[c] for c in pivots_t]) for im in images])),
+                intern_half(
+                    tuple(row for c, row in enumerate(reduced) if c not in pivots_s)
+                ),
             )
-            bid = block_ids.get(pair)
-            if bid is None:
-                bid = block_ids[pair] = len(blocks)
-                blocks.append(pair)
-                halves.append(tuple(map(intern_half, pair)))
-            return bid
 
-        entries = array("i", [
+        entries = [
             entry(pivots_s, images, basis_s, pivots_t, reduced, columns)
             for (pivots_s, images), (_, basis_s) in sources.items()
             for (pivots_t, _), (_, reduced, columns) in targets.items()
-        ])
+        ]
         table = _ArrowTable(
             source_class, target_class, len(targets), entries, len(self._arrow_tables)
         )
@@ -644,7 +634,7 @@ class Oracle:
         ]
         # A vertex class is (dimension, class in each table at the vertex),
         # the tables in arrow order, source role before target role.
-        columns = [[_subspace_dims(d, p)] for d in dims]
+        columns = [[_frames(d, p).dims] for d in dims]
         keys = [[d] for d in dims]  # the ``_vertex_classes`` keys
         # Each arrow is looked up once both of its ends have a class.
         checks = [[] for _ in range(nv)]
@@ -663,7 +653,7 @@ class Oracle:
         ]
         chosen, sub_dims = [None] * nv, [0] * nv
         sub_halves, quot_halves = [0] * len(arrows), [0] * len(arrows)
-        halves, total = self._block_halves, rep.total_dim
+        total = rep.total_dim
         # A nontrivial leaf is its sub dimensions and sub-half ids, then its
         # quotient dimensions and quotient-half ids; distinct stable tuples
         # often give the same leaf, which is then identified once.
@@ -674,10 +664,10 @@ class Oracle:
                 chosen[v] = c
                 sub_dims[v] = c[0]
                 for a, s, i, t, j, n_t, entries in checks[v]:
-                    bid = entries[chosen[s][i] * n_t + chosen[t][j]]
-                    if bid == _UNSTABLE:
+                    pair = entries[chosen[s][i] * n_t + chosen[t][j]]
+                    if pair is None:
                         break
-                    sub_halves[a], quot_halves[a] = halves[bid]
+                    sub_halves[a], quot_halves[a] = pair
                 else:
                     if v + 1 < nv:
                         walk(v + 1)
@@ -826,11 +816,11 @@ class Oracle:
             itertools.compress(self.members, map("1".__eq__, bin(mask)[:1:-1]))
         )
 
-    def _member_masks(self, i: int) -> _MemberMasks:
-        """Member ``i``'s subquotient table as masks, built on first use."""
-        masks = self._masks[i]
-        if masks is None:
-            bit, x = self._bit, self.members[i]
+    @cached_property
+    def _tables(self) -> list[_MemberMasks]:
+        """Every member's subquotient table as masks, in universe order."""
+        bit, tables = self._bit, []
+        for x in self.members:
             subs = quots = 0
             pairs = []
             for a, q in self.subquotients(x):
@@ -842,49 +832,47 @@ class Oracle:
             # Members are sorted tuples, so a member less one summand is a
             # member's key; distinct bits sum to their union.
             parts = sum({bit[x[:j] + x[j + 1 :]] for j in range(len(x))})
-            masks = _MemberMasks(splits, subs, quots, tuple(pairs), parts)
-            self._masks[i] = masks
-        return masks
+            tables.append(_MemberMasks(splits, subs, quots, tuple(pairs), parts))
+        return tables
+
+    @cached_property
+    def _watch(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """For each member ``j``, the members ``i`` and split masks of ``i``
+        that contain ``j``, as two parallel tuples."""
+        members: list[list[int]] = [[] for _ in self.members]
+        masks: list[list[int]] = [[] for _ in self.members]
+        for i, table in enumerate(self._tables):
+            # a split mask holds the bits of a subobject and its quotient,
+            # one bit when the two are the same member
+            for pm in table.splits:
+                low, high = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
+                for j in (low, high) if low != high else (low,):
+                    members[j].append(i)
+                    masks[j].append(pm)
+        return [(tuple(m), tuple(pms)) for m, pms in zip(members, masks)]
 
     def filt(self, gens) -> frozenset[Member]:
         """Close a generating set under extensions: the one closure engine,
         ``_extend_filt``, run from the empty mask."""
-        return self._closure(self._subcat_mask([ZERO, *gens]))
+        return self._members_of(self._closure(self._subcat_mask([ZERO, *gens])))
 
-    def _closure(self, key: int) -> frozenset[Member]:
-        """The members of ``_extend_filt(0, key)``, memoised on ``key``."""
+    def _closure(self, key: int) -> int:
+        """``_extend_filt(0, key)``, memoised on ``key``."""
         hit = self._filt_memo.get(key)
         if hit is None:
-            hit = self._filt_memo[key] = self._filt_memo[self._extend_filt(0, key)]
+            hit = self._filt_memo[key] = self._extend_filt(0, key)
         return hit
-
-    def _watch_lists(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """For each member ``j``, the members ``i`` and split masks of ``i``
-        that contain ``j``, as two parallel tuples; built once per oracle."""
-        if self._watch is None:
-            members: list[list[int]] = [[] for _ in self.members]
-            masks: list[list[int]] = [[] for _ in self.members]
-            for i in range(len(self.members)):
-                # a split mask holds the bits of a subobject and its
-                # quotient, one bit when the two are the same member
-                for pm in self._member_masks(i).splits:
-                    low, high = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
-                    for j in (low, high) if low != high else (low,):
-                        members[j].append(i)
-                        masks[j].append(pm)
-            self._watch = [(tuple(m), tuple(pms)) for m, pms in zip(members, masks)]
-        return self._watch
 
     def _extend_filt(self, closed: int, new: int) -> int:
         """Mask of the extension closure of the extension-closed mask
         ``closed`` and the members in the mask ``new``, the oracle's one
-        closure engine; ``_filt_memo`` gets the closure under its own mask.
+        closure engine; ``_filt_memo`` records the closure as its own.
 
         Every split mask inside ``closed`` already has its member in it, so
         a member can only join through a split that meets what was added:
         each member added is followed by testing just its watch list.
         """
-        watch = self._watch_lists()
+        watch = self._watch
         result = closed | new
         todo = list(bit_indices(new & ~closed))
         while todo:
@@ -892,8 +880,7 @@ class Oracle:
                 if not result >> i & 1 and pm & result == pm:
                     result |= 1 << i
                     todo.append(i)
-        if result not in self._filt_memo:
-            self._filt_memo[result] = self._members_of(result)
+        self._filt_memo[result] = result
         return result
 
     def subset_closures(self, gens) -> list[frozenset[Member]]:
@@ -910,17 +897,18 @@ class Oracle:
         for subset in range(1, 1 << len(bits)):
             top = subset.bit_length() - 1
             masks.append(self._extend_filt(masks[subset ^ 1 << top], bits[top]))
-        return [self._filt_memo[m] for m in masks]
+        sets = {m: self._members_of(m) for m in dict.fromkeys(masks)}
+        return [sets[m] for m in masks]
 
     def _simple_indices(self, mask: int, inside: tuple[int, ...]) -> list[int]:
         """The members of ``mask``, whose indices are ``inside``, but the zero
         module (index 0) with no proper nonzero subobject in ``mask``
         together with its quotient."""
-        simple = []
+        simple, tables = [], self._tables
         for i in inside:
             if not i:
                 continue
-            for pm in self._member_masks(i).splits:
+            for pm in tables[i].splits:
                 if pm & mask == pm:
                     break
             else:
@@ -945,9 +933,9 @@ class Oracle:
         subs = quots = parts = 0
         # Trivial pairs (0, x) and (x, 0) pass every test below, so only the
         # proper pairs of each member are scanned.
-        pairs = []
+        pairs, tables = [], self._tables
         for i in inside:
-            masks = self._member_masks(i)
+            masks = tables[i]
             subs |= masks.subs
             quots |= masks.quots
             parts |= masks.parts
@@ -963,7 +951,7 @@ class Oracle:
         )
         return ClosureFlags(
             # a set is extension-closed iff it is its own filtration closure
-            extensions=len(self._closure(mask)) == len(inside),
+            extensions=self._closure(mask) == mask,
             subobjects=not subs & ~mask,
             quotients=not quots & ~mask,
             # removing one summand at a time reaches every sub-multiset
@@ -975,7 +963,7 @@ class Oracle:
             skipped_extension_pairs=skipped,
             # no simple has a quotient but 0 and itself that embeds in a member
             left_schur=not any(
-                self._member_masks(i).quots & subs & ~(1 | 1 << i)
+                tables[i].quots & subs & ~(1 | 1 << i)
                 for i in self._simple_indices(mask, inside)
             ),
         )
@@ -984,15 +972,15 @@ class Oracle:
         """Members whose every cokernel into the set stays in the set."""
         mask = self._subcat_mask(e)
         inside = bit_indices(mask)
-        bad_images = 0
+        bad_images, tables = 0, self._tables
         for i in inside:
-            for a, q in self._member_masks(i).pairs:
+            for a, q in tables[i].pairs:
                 if not q & mask:
                     bad_images |= a
         return frozenset(
             self.members[i]
             for i in inside
-            if not self._member_masks(i).quots & bad_images
+            if not tables[i].quots & bad_images
         )
 
     def f_map(self, bricks) -> frozenset[Member]:

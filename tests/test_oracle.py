@@ -587,6 +587,40 @@ def test_extend_filt_matches_filt_of_the_union(data):
     assert oracle._members_of(got) == literal_filt(oracle, closed | new)
 
 
+class ExtendCounting(Oracle):
+    def __init__(self, preset):
+        self.extended = 0
+        super().__init__(preset)
+
+    def _extend_filt(self, closed, new):
+        self.extended += 1
+        return super()._extend_filt(closed, new)
+
+
+@pytest.mark.parametrize("name", ["a3_linear", "b3"])
+def test_a_closure_is_memoised_under_its_own_mask(name):
+    # Every closure the engine computes is recorded as its own, so the
+    # extension flag of a closure runs no further closure.
+    oracle = ExtendCounting(get_preset(name))
+    bricks = oracle.brick_members()
+    closures = [oracle.filt(bricks[:k]) for k in range(len(bricks) + 1)]
+    closures += oracle.subset_closures(bricks[::2])
+    assert all(type(v) is int for v in oracle._filt_memo.values())
+    assert all(oracle._filt_memo[v] == v for v in oracle._filt_memo.values())
+    done = oracle.extended
+    assert all(oracle.closure_flags(e).extensions for e in closures)
+    assert oracle.extended == done
+
+
+def test_subset_closures_build_one_set_per_distinct_closure():
+    oracle = get_oracle("nak2")
+    closures = oracle.subset_closures(oracle.brick_members())
+    distinct = {}
+    for e in closures:
+        assert distinct.setdefault(e, e) is e
+    assert len(distinct) < len(closures)
+
+
 def test_subset_closures_refuse_strangers():
     oracle = get_oracle("nak2")
     with pytest.raises(OracleError, match="outside"):

@@ -11,7 +11,6 @@ are checked against ``literal_entry`` on every pair of subspaces.
 
 import hashlib
 import itertools
-from array import array
 from functools import lru_cache
 
 import pytest
@@ -21,7 +20,7 @@ from literal_tables import coords_in_span, literal_entry, literal_subspaces
 
 from monobrick import fp, verify
 from monobrick.diagrams import bit_indices
-from monobrick.oracle import _UNSTABLE, ZERO, Oracle, get_oracle
+from monobrick.oracle import ZERO, Oracle, _frames, get_oracle
 from monobrick.presets import PRESET_NAMES, Rep, get_preset
 from monobrick.verify import run_checks
 
@@ -126,6 +125,26 @@ def test_subspaces_match_the_literal_listing(d, p):
     assert fp.subspaces(d, p) == literal_subspaces(d, p)
 
 
+@pytest.mark.parametrize("d,p", [(d, p) for p in (2, 3, 5) for d in range(6)])
+def test_frames_carry_the_dimensions_and_the_shared_rows(d, p):
+    # The distinct basis rows are the vectors whose first nonzero entry is
+    # 1, one per line of F_p^d, and each basis names its rows by position.
+    frames = _frames(d, p)
+    spaces = fp.subspaces(d, p)
+    assert frames.dims.typecode == "B"
+    assert list(frames.dims) == [len(pivots) for _, pivots in spaces]
+    assert len(frames.rows) == (p**d - 1) // (p - 1)
+    assert set(frames.rows) == {u for basis, _ in spaces for u in basis}
+    for (basis, _), row_ids in zip(spaces, frames.row_ids):
+        assert tuple(frames.rows[k] for k in row_ids) == basis
+
+
+def _block(oracle, entry):
+    """The (sub block, quotient block) an arrow-table entry names by half
+    ids, or None for an unstable pair."""
+    return entry and tuple(map(oracle._half_mats.__getitem__, entry))
+
+
 def test_arrow_table_layout_for_the_identity():
     # F_2^1 has the subspaces 0 and F, each its own class on both sides; the
     # identity maps F into 0 only when the pair is (F, 0), the one unstable
@@ -135,9 +154,9 @@ def test_arrow_table_layout_for_the_identity():
     assert list(table.source_class) == [0, 1]
     assert list(table.target_class) == [0, 1]
     assert table.n_targets == 2
-    assert isinstance(table.entries, array) and len(table.entries) == 4
-    assert table.entries[2] == _UNSTABLE
-    assert [oracle._blocks[table.entries[k]] for k in (0, 1, 3)] == [
+    assert isinstance(table.entries, list) and len(table.entries) == 4
+    assert table.entries[2] is None
+    assert [_block(oracle, table.entries[k]) for k in (0, 1, 3)] == [
         ((), ((1,),)),
         ((), ((),)),
         (((1,),), ()),
@@ -157,8 +176,7 @@ def assert_table_matches_the_literal_entry(oracle, mat, d_s, d_t, table):
             literal.setdefault((i, j), set()).add(entry)
     assert len(literal) == len(table.entries)
     for (i, j), entries in literal.items():
-        bid = table.entries[i * table.n_targets + j]
-        want = None if bid == _UNSTABLE else oracle._blocks[bid]
+        want = _block(oracle, table.entries[i * table.n_targets + j])
         assert entries == {want}, (mat, i, j)
 
 

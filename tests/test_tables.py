@@ -7,12 +7,17 @@ here individually so a wrong cell points at itself, and the registry
 checks are run per preset per name for the same reason.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import monobrick
 from monobrick.arcs import Arc, HomKind
-from monobrick.oracle import Oracle, OracleError, get_oracle
+from monobrick.oracle import ZERO, Oracle, OracleError, get_oracle
 from monobrick.presets import PRESETS as PRESET_TABLE, get_preset
 from monobrick.verify import (
     CLOSURE_TABLES,
@@ -359,3 +364,111 @@ def test_universe_size_reports_a_universe_that_does_not_start_at_zero():
 
     problems = _problems(check_universe_size(Rotated(get_preset("a2_linear"))))
     assert problems == ["the zero module is not the first member"]
+
+
+def test_structural_identities_report_maximal_elements_that_are_no_semibrick():
+    # The maximal element of {1, 2/1} is made the whole chain, which is no
+    # semibrick: 1 embeds in 2/1.
+    class Flat(Oracle):
+        def mmax(self, bricks):
+            if frozenset(bricks) == CHAIN:
+                return CHAIN
+            return super().mmax(bricks)
+
+    problems = _problems(check_structural_identities(Flat(get_preset("a2_linear"))))
+    assert "{1, 2/1}: maximal elements are not a semibrick" in problems
+
+
+def test_structural_identities_report_a_closure_that_changes_mmax():
+    # The closure of {2/1} is {1, 2/1}, whose maximal element is made 1.
+    class Low(Oracle):
+        def mmax(self, bricks):
+            if frozenset(bricks) == CHAIN:
+                return frozenset({ONE})
+            return super().mmax(bricks)
+
+    problems = _problems(check_structural_identities(Low(get_preset("a2_linear"))))
+    assert "{2/1}: closure changes the maximal elements" in problems
+
+
+def test_structural_identities_report_wrong_simples_of_the_torsion_free_class():
+    # The smallest torsion-free class holding 2/1 is filt({1, 2/1}); its
+    # simples are made 2/1 alone, which misses the closure {1, 2/1}.
+    class Blind(Oracle):
+        def simp(self, e):
+            if frozenset(e) == self.f_map({TWO_ONE}):
+                return frozenset({TWO_ONE})
+            return super().simp(e)
+
+    problems = _problems(check_structural_identities(Blind(get_preset("a2_linear"))))
+    message = "simples of the smallest torsion-free class are not the closure"
+    assert f"{{2/1}}: {message}" in problems
+
+
+def test_structural_identities_report_a_wide_semibrick_that_is_not_maximal():
+    # {1, 2} is a semibrick, so its filtration reads wide; its maximal
+    # elements are made 1 alone.
+    class Partial(Oracle):
+        def mmax(self, bricks):
+            if frozenset(bricks) == {ONE, TWO}:
+                return frozenset({ONE})
+            return super().mmax(bricks)
+
+    problems = _problems(check_structural_identities(Partial(get_preset("a2_linear"))))
+    assert "{1, 2}: wide verdict disagrees with maximality" in problems
+
+
+def test_structural_identities_report_a_w_map_that_does_not_undo_f_map():
+    # {2/1} is a semibrick; W of the smallest torsion-free class holding it,
+    # filt({1, 2/1}), must give back filt({2/1}), and is made zero alone.
+    class Shrunk(Oracle):
+        def w_map(self, e):
+            if frozenset(e) == self.f_map({TWO_ONE}):
+                return frozenset({ZERO})
+            return super().w_map(e)
+
+    problems = _problems(check_structural_identities(Shrunk(get_preset("a2_linear"))))
+    assert "{2/1}: w_map does not undo f_map on a wide subcategory" in problems
+
+
+# Two audits whose failure detail names one sample of a set: b3 with only
+# the empty semibrick, and a3_linear with a census padded by three sets no
+# fixture row covers.
+SAMPLED_DETAILS = """
+from monobrick.oracle import Oracle
+from monobrick.presets import get_preset
+from monobrick.verify import check_arc_agreement, check_closure_table
+
+class Empty(Oracle):
+    def semibricks(self):
+        return (frozenset(),)
+
+class Padded(Oracle):
+    def monobricks(self):
+        extra = ({"1", "2", "2/1"}, {"2", "3", "3/2/1"}, {"1", "3", "3/2"})
+        return (*super().monobricks(), *(frozenset((n,) for n in s) for s in extra))
+
+print(check_arc_agreement(Empty(get_preset("b3"))).detail)
+print(check_closure_table(Padded(get_preset("a3_linear"))).detail)
+"""
+
+
+def test_sampled_details_do_not_depend_on_the_hash_seed():
+    # Under these two seeds the first element of each set differs, so only
+    # a detail that names the least sample reads the same under both.
+    src = str(Path(monobrick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    details = [
+        subprocess.run(
+            [sys.executable, "-c", SAMPLED_DETAILS],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "3")
+    ]
+    assert details == [
+        "Semibrick families disagree, e.g. {1, 2, 3}\n"
+        "table misses 3 census monobricks, e.g. {1, 2, 2/1}\n"
+    ] * 2
