@@ -29,18 +29,22 @@ per proper nonzero (subobject, quotient) pair, the union of its subobjects,
 the union of its quotients, and the union of the members it leaves when one
 summand is removed.  ``simp`` keeps the members with no pair mask inside the
 set; the other closure flags are ANDs and ORs of the unions, which
-``closure_flags`` builds once per set from one decode of its mask, and its
+``_closure_flags`` builds once per set from one decode of its mask, and its
 left Schur flag reads the same unions at the simples.
 One engine closes sets under extensions, ``_extend_filt``: a member can join
 a closed set only through a split that meets the new members, so it
 forward-chains over watch lists that name, for each member, the split masks
 containing it.  ``filt`` runs it from the empty mask, the extension flag asks
-whether a set is its own closure, and ``subset_closures`` grows each subset's
-closure from that of a smaller subset.  The closure memo maps masks to masks:
-a generator mask to its closure, and every closure the engine computes to
-itself, so the extension flag of a closure is one lookup.  Frozensets are
-built only at the return, one per distinct closure.  ``closure_flags`` (set
-mask to flags) is memoised per oracle too.
+whether a set is its own closure, and ``subset_closures`` searches the
+closures of subsets of generators depth first, growing a closure only by a
+generator outside it, so it runs the engine once per node of the search
+rather than once per subset.  The closure memo maps masks to masks: a
+generator mask to its closure, and every closure the engine computes to
+itself, so the extension flag of a closure is one lookup.  ``filt`` builds a
+frozenset only at its return; ``subset_closures`` builds none and reads each
+closure's flags off the mask it grew.  The flags are memoised per oracle on
+the set mask, in ``_closure_flags``, which ``closure_flags`` reaches after
+validating its set.
 
 A subquotient table lists the (subobject, quotient) pairs of one member,
 one per tuple of subspaces, one subspace per vertex, that every arrow maps
@@ -883,22 +887,32 @@ class Oracle:
         self._filt_memo[result] = result
         return result
 
-    def subset_closures(self, gens) -> list[frozenset[Member]]:
-        """``filt`` of every subset of ``gens``, subset ``bits`` at position
-        ``bits`` (generator ``i`` in it iff bit ``i`` is set).
+    def subset_closures(self, gens) -> dict[int, ClosureFlags]:
+        """Every distinct ``filt`` of a subset of ``gens``, as its least
+        generating subset (generator ``i`` in it iff bit ``i`` is set) mapped
+        to its flags, in subset order.
 
-        Each closure grows from the closure of its subset without the top
-        generator, which comes earlier in this order.
+        A depth-first search from the closure of the zero module grows each
+        closure by one generator past the last one added and outside it.  The
+        least generating subset is a path of this search: a generator inside
+        the closure of the ones before it could be dropped from it.
         """
         gens = list(gens)
         self._subcat_mask([ZERO, *gens])
         bits = [self._bit[g] for g in gens]
-        masks = [self._extend_filt(0, self._bit[ZERO])]
-        for subset in range(1, 1 << len(bits)):
-            top = subset.bit_length() - 1
-            masks.append(self._extend_filt(masks[subset ^ 1 << top], bits[top]))
-        sets = {m: self._members_of(m) for m in dict.fromkeys(masks)}
-        return [sets[m] for m in masks]
+        least: dict[int, int] = {}  # closure mask -> least generating subset
+
+        def grow(mask: int, subset: int, start: int) -> None:
+            least[mask] = min(least.get(mask, subset), subset)
+            for i in range(start, len(bits)):
+                if not bits[i] & mask:
+                    grow(self._extend_filt(mask, bits[i]), subset | 1 << i, i + 1)
+
+        grow(self._closure(self._bit[ZERO]), 0, 0)
+        return {
+            subset: self._closure_flags(mask)
+            for subset, mask in sorted((s, m) for m, s in least.items())
+        }
 
     def _simple_indices(self, mask: int, inside: tuple[int, ...]) -> list[int]:
         """The members of ``mask``, whose indices are ``inside``, but the zero
@@ -922,13 +936,13 @@ class Oracle:
         return frozenset(self.members[i] for i in simple)
 
     def closure_flags(self, e) -> ClosureFlags:
-        mask = self._subcat_mask(e)
-        flags = self._flags_memo.get(mask)
-        if flags is None:
-            flags = self._flags_memo[mask] = self._closure_flags(mask)
-        return flags
+        return self._closure_flags(self._subcat_mask(e))
 
     def _closure_flags(self, mask: int) -> ClosureFlags:
+        """The flags of a subcategory mask, memoised on it."""
+        flags = self._flags_memo.get(mask)
+        if flags is not None:
+            return flags
         inside = bit_indices(mask)
         subs = quots = parts = 0
         # Trivial pairs (0, x) and (x, 0) pass every test below, so only the
@@ -949,7 +963,7 @@ class Oracle:
             for d2, m in by_dim.items()
             if d + d2 > self.dim_bound
         )
-        return ClosureFlags(
+        flags = self._flags_memo[mask] = ClosureFlags(
             # a set is extension-closed iff it is its own filtration closure
             extensions=self._closure(mask) == mask,
             subobjects=not subs & ~mask,
@@ -967,6 +981,7 @@ class Oracle:
                 for i in self._simple_indices(mask, inside)
             ),
         )
+        return flags
 
     def w_map(self, e) -> frozenset[Member]:
         """Members whose every cokernel into the set stays in the set."""

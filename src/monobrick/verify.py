@@ -454,50 +454,41 @@ def check_structural_identities(oracle: Oracle) -> CheckResult:
     return _result("structural-identities", problems)
 
 
-def schur_verdicts(
-    oracle: Oracle, bricks: tuple[Member, ...]
-) -> dict[frozenset[Member], tuple[int, bool, bool]]:
-    """The filtration closure of every subset of ``bricks``, each distinct
-    one mapped to (the first subset that generates it, whether it is
-    one-sided Schur, whether it is closed under extensions, kernels and
-    images).
-
-    A subset is a bit mask over ``bricks``, and subsets come in the order
-    of their masks.
-    """
-    verdicts: dict[frozenset[Member], tuple[int, bool, bool]] = {}
-    for bits, e in enumerate(oracle.subset_closures(bricks)):
-        if e not in verdicts:
-            flags = oracle.closure_flags(e)
-            closed = flags.extensions and flags.kernels and flags.images
-            verdicts[e] = (bits, flags.left_schur, closed)
-    return verdicts
-
-
 def check_left_schur(oracle: Oracle) -> CheckResult:
     """One-sided Schur condition versus extension/kernel/image closure.
 
-    Sweeps the filtration closures of all brick subsets.  On serial presets
-    (those with an arc algebra) the two properties must coincide; on the
-    source orientation closure still implies the Schur condition, and the
-    converse fails on exactly the monobricks flagged in the fixture table.
+    Reads every distinct filtration closure of a set of bricks, keyed by
+    the least subset that generates it, from ``Oracle.subset_closures``; a
+    closure's members are built only when it is reported.  On serial
+    presets (those with an arc algebra) the two properties must coincide;
+    on the source orientation closure still implies the Schur condition,
+    and the converse fails on exactly the monobricks flagged in the fixture
+    table.
     """
     name = oracle.preset.name
     bricks = oracle.brick_members()
-    problems = []
-    verdicts = schur_verdicts(oracle, bricks)
-    for bits, schur, closed in verdicts.values():
-        gens = (b for i, b in enumerate(bricks) if bits >> i & 1)
-        label = f"filt({_fmt(_names(gens))})"
-        if oracle.preset.arc_algebra is not None:
-            if schur != closed:
-                problems.append(
-                    f"{label}: schur={schur} but kernel/image closure={closed}"
-                )
-        elif closed and not schur:
-            problems.append(f"{label}: closed under kernels and images, not schur")
+    serial = oracle.preset.arc_algebra is not None
 
-    n_schur = sum(1 for _, schur, _ in verdicts.values() if schur)
+    def gens(bits: int) -> list[Member]:
+        return [b for i, b in enumerate(bricks) if bits >> i & 1]
+
+    problems, schur_not_closed = [], []
+    n_schur = n_closed = 0
+    for bits, flags in oracle.subset_closures(bricks).items():
+        schur = flags.left_schur
+        closed = flags.extensions and flags.kernels and flags.images
+        n_schur += schur
+        n_closed += closed
+        if schur and not closed:
+            schur_not_closed.append(bits)
+        if serial and schur != closed:
+            bad = f"schur={schur} but kernel/image closure={closed}"
+        elif closed and not schur:
+            bad = "closed under kernels and images, not schur"
+        else:
+            continue
+        problems.append(f"filt({_fmt(_names(gens(bits)))}): {bad}")
+
     want = EXPECTED_COUNTS[name].monobricks
     if n_schur != want:
         problems.append(
@@ -511,9 +502,8 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
             if not (row.kernel_closed and row.image_closed)
         }
         got_violations = {
-            frozenset(_names(oracle.simp(e)))
-            for e, (_, schur, closed) in verdicts.items()
-            if schur and not closed
+            frozenset(_names(oracle.simp(oracle.filt(gens(bits)))))
+            for bits in schur_not_closed
         }
         if got_violations != expected_violations:
             problems.append(
@@ -521,7 +511,6 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
                 f"{sorted(map(_fmt, got_violations))}, expected "
                 f"{sorted(map(_fmt, expected_violations))}"
             )
-        n_closed = sum(1 for _, _, closed in verdicts.values() if closed)
         if n_closed != want - len(expected_violations):
             problems.append(
                 f"{n_closed} kernel/image closed subcategories, expected "

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from literal_tables import literal_fingerprint, literal_identify
 
-from monobrick.arcs import hom_kind
+from monobrick.arcs import Algebra, hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
 from monobrick.oracle import (
     ZERO,
@@ -19,8 +19,7 @@ from monobrick.oracle import (
     element_is_injective,
     get_oracle,
 )
-from monobrick.presets import PRESET_NAMES, direct_sum, get_preset
-from monobrick.verify import schur_verdicts
+from monobrick.presets import PRESET_NAMES, direct_sum, get_preset, interval_preset
 
 ALL = list(PRESET_NAMES)
 BRIDGED = ["a3_linear", "nak2", "b3"]
@@ -563,15 +562,24 @@ def test_subcategory_layer_matches_the_frozenset_route(name):
             assert oracle.w_map(s) == literal_w_map(oracle, s), sorted(s)
 
 
+def subset(bricks, bits) -> frozenset:
+    return frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
+
+
 @pytest.mark.parametrize("name,p", [(name, 2) for name in ALL] + [("b3", 3)])
 def test_subset_closures_match_the_frozenset_route(name, p):
-    oracle = get_oracle(name, p=p)
+    # Keyed by the first of the 2^b subsets that generates each closure; on a
+    # fresh oracle the search reads flags of exactly the closures' masks.
+    oracle = Oracle(get_preset(name, p))
     bricks = oracle.brick_members()
+    first = {}
+    for bits in range(1 << len(bricks)):
+        first.setdefault(literal_filt(oracle, subset(bricks, bits)), bits)
     closures = oracle.subset_closures(bricks)
-    assert len(closures) == 1 << len(bricks)
-    for bits, e in enumerate(closures):
-        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
-        assert e == literal_filt(oracle, gens), sorted(gens)
+    assert list(closures) == list(first.values())
+    assert set(oracle._flags_memo) == set(map(oracle._subcat_mask, first))
+    for e, bits in first.items():
+        assert closures[bits] == oracle.closure_flags(e), sorted(e)
 
 
 @given(st.data())
@@ -604,7 +612,10 @@ def test_a_closure_is_memoised_under_its_own_mask(name):
     oracle = ExtendCounting(get_preset(name))
     bricks = oracle.brick_members()
     closures = [oracle.filt(bricks[:k]) for k in range(len(bricks) + 1)]
-    closures += oracle.subset_closures(bricks[::2])
+    closures += [
+        oracle.filt(subset(bricks[::2], bits))
+        for bits in oracle.subset_closures(bricks[::2])
+    ]
     assert all(type(v) is int for v in oracle._filt_memo.values())
     assert all(oracle._filt_memo[v] == v for v in oracle._filt_memo.values())
     done = oracle.extended
@@ -612,13 +623,13 @@ def test_a_closure_is_memoised_under_its_own_mask(name):
     assert oracle.extended == done
 
 
-def test_subset_closures_build_one_set_per_distinct_closure():
-    oracle = get_oracle("nak2")
-    closures = oracle.subset_closures(oracle.brick_members())
-    distinct = {}
-    for e in closures:
-        assert distinct.setdefault(e, e) is e
-    assert len(distinct) < len(closures)
+def test_subset_closures_extend_once_per_distinct_closure():
+    # The search closes each distinct closure once, where a sweep of the
+    # 2^b subsets would close every subset.
+    oracle = ExtendCounting(get_preset("b3"))
+    bricks = oracle.brick_members()
+    closures = oracle.subset_closures(bricks)
+    assert (len(bricks), len(closures), oracle.extended) == (9, 224, 224)
 
 
 def test_subset_closures_refuse_strangers():
@@ -632,8 +643,7 @@ def literal_schur_sweep(oracle):
     bricks = oracle.brick_members()
     verdicts = {}
     for bits in range(1 << len(bricks)):
-        gens = frozenset(b for i, b in enumerate(bricks) if bits >> i & 1)
-        e = oracle.filt(gens)
+        e = oracle.filt(subset(bricks, bits))
         if e in verdicts:
             continue
         flags = oracle.closure_flags(e)
@@ -642,12 +652,27 @@ def literal_schur_sweep(oracle):
     return verdicts
 
 
-@pytest.mark.parametrize("name,p", [(name, 2) for name in ALL] + [("b3", 3)])
+def sweep_preset(name, p):
+    """A bundled preset, or the interval preset of A4, which has no name."""
+    if name == "A4":
+        return interval_preset(name, Algebra.linear_a(4), p=p)
+    return get_preset(name, p)
+
+
+@pytest.mark.parametrize(
+    "name,p", [(name, 2) for name in ALL] + [("b3", 3), ("A4", 2)]
+)
 def test_schur_verdicts_match_the_sweep_from_scratch(name, p):
-    want = literal_schur_sweep(Oracle(get_preset(name, p)))
-    oracle = Oracle(get_preset(name, p))
-    got = schur_verdicts(oracle, oracle.brick_members())
-    assert list(got.items()) == list(want.items())
+    # The verdicts check_left_schur reads, against the 2^b sweep.
+    want = literal_schur_sweep(Oracle(sweep_preset(name, p)))
+    oracle = Oracle(sweep_preset(name, p))
+    got = [
+        (bits, flags.left_schur, flags.extensions and flags.kernels and flags.images)
+        for bits, flags in oracle.subset_closures(oracle.brick_members()).items()
+    ]
+    assert got == list(want.values())
+    if name == "A4":
+        assert (len(oracle.brick_members()), len(got)) == (10, 357)
 
 
 def test_memoised_results_ignore_how_a_set_is_passed():

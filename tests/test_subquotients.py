@@ -283,11 +283,11 @@ def test_run_checks_work_is_pinned(name, monkeypatch):
 # Calls to ``bit_indices`` in run_checks(name, 3) on a fresh oracle: a
 # second decode of one mask, or a decode per split mask, moves the count.
 DECODES_AT_P3 = {
-    "a2_linear": 44,
-    "a3_linear": 207,
-    "a3_source": 226,
-    "nak2": 67,
-    "b3": 911,
+    "a2_linear": 42,
+    "a3_linear": 182,
+    "a3_source": 201,
+    "nak2": 63,
+    "b3": 622,
 }
 
 

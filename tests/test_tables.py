@@ -106,16 +106,67 @@ def _problems(result):
     return result.detail.split("; ")
 
 
-def test_left_schur_audit_reports_a_flipped_verdict():
-    class Flipped(Oracle):
-        def closure_flags(self, e):
-            flags = super().closure_flags(e)
-            if frozenset(e) == self.filt([ONE]):
-                return flags._replace(left_schur=False)
+def _misread(preset, gens, **wrong):
+    """A fresh oracle whose flags of the closure ``filt(gens)`` read
+    ``wrong``, through the mask-level method every flag route shares."""
+
+    class Misread(Oracle):
+        def _closure_flags(self, mask):
+            flags = super()._closure_flags(mask)
+            if mask == self._subcat_mask(self.filt(gens)):
+                return flags._replace(**wrong)
             return flags
 
-    problems = _problems(check_left_schur(Flipped(get_preset("a2_linear"))))
+    return Misread(get_preset(preset))
+
+
+def test_left_schur_audit_reports_a_flipped_verdict():
+    oracle = _misread("a2_linear", [ONE], left_schur=False)
+    problems = _problems(check_left_schur(oracle))
     assert "filt({1}): schur=False but kernel/image closure=True" in problems
+
+
+def test_left_schur_audit_reports_a_schur_count_off_by_one():
+    # The closure of {1} reads neither Schur nor closed, so the two
+    # verdicts still agree and only the count is off.
+    oracle = _misread("a2_linear", [ONE], left_schur=False, kernels=False)
+    problems = _problems(check_left_schur(oracle))
+    assert problems == ["5 distinct one-sided Schur subcategories, expected 6"]
+
+
+# a3_source has no arc model: closure under kernels and images must imply
+# the Schur condition, and the closure of {2} has both.
+SOURCE_TWO = [("2",)]
+
+
+def test_left_schur_audit_reports_a_closed_set_that_is_not_schur():
+    oracle = _misread("a3_source", SOURCE_TWO, left_schur=False)
+    problems = _problems(check_left_schur(oracle))
+    assert problems == [
+        "filt({2}): closed under kernels and images, not schur",
+        "25 distinct one-sided Schur subcategories, expected 26",
+    ]
+
+
+def test_left_schur_audit_reports_an_unexpected_schur_set_that_is_not_closed():
+    oracle = _misread("a3_source", SOURCE_TWO, kernels=False)
+    problems = _problems(check_left_schur(oracle))
+    assert problems == [
+        "schur-but-not-closed monobricks are ['{1/2, 13/2, 2}', '{1/2, 13/2, 3/2}',"
+        " '{13/2, 2, 3/2}', '{13/2, 2}', '{2}'], expected ['{1/2, 13/2, 2}',"
+        " '{1/2, 13/2, 3/2}', '{13/2, 2, 3/2}', '{13/2, 2}']",
+        "21 kernel/image closed subcategories, expected 22",
+    ]
+
+
+def test_left_schur_audit_reports_a_closed_count_off_by_one():
+    # Neither Schur nor closed: no verdict disagrees, both counts drop.
+    oracle = _misread("a3_source", SOURCE_TWO, left_schur=False, kernels=False)
+    problems = _problems(check_left_schur(oracle))
+    assert problems == [
+        "25 distinct one-sided Schur subcategories, expected 26",
+        "21 kernel/image closed subcategories, expected 22",
+    ]
 
 
 def test_census_reports_disagreeing_mono_checks():
@@ -139,6 +190,29 @@ def test_census_reports_a_semibrick_that_is_no_monobrick():
 
     problems = _problems(check_census(Swapped(get_preset("a2_linear"))))
     assert problems == ["semibrick census is not a subset of the monobricks"]
+
+
+def test_census_reports_a_missing_semibrick():
+    class Short(Oracle):
+        def semibricks(self):
+            return super().semibricks()[:-1]
+
+    problems = _problems(check_census(Short(get_preset("a2_linear"))))
+    assert problems == ["4 semibricks, expected 5"]
+
+
+def test_census_reports_monobricks_that_do_not_start_empty():
+    class Reversed(Oracle):
+        def monobricks(self):
+            return super().monobricks()[::-1]
+
+    problems = _problems(check_census(Reversed(get_preset("a2_linear"))))
+    assert problems == ["the empty monobrick is not enumerated first"]
+
+
+def test_arc_agreement_refuses_a_preset_without_an_arc_model():
+    result = check_arc_agreement(get_oracle("a3_source"))
+    assert result == ("arc-agreement", False, "preset has no arc model")
 
 
 def test_structural_identities_report_a_semibrick_that_reads_not_wide():
