@@ -61,21 +61,19 @@ Each block half is interned on its own, once per oracle.  At a vertex,
 subspaces of one dimension with the same class in every table there are
 interchangeable, so a member's table walks one subspace per such vertex
 class, vertex by vertex, and drops a tuple at the first unstable arrow.  The
-vertex classes depend only on the dimension and the tables at the vertex, so
-each list of them is built once per oracle.  The tables read the subspaces
-of F_p^d through one frame record per (d, p), one tuple per field: pivots,
-non-pivot columns, bases, the ids of their rows, the distinct rows
-themselves and the dimension of each subspace, so each table maps every
-distinct basis row once.  Reduction modulo a target subspace is linear, and
-a matrix row with one nonzero entry reduces to a multiple of one unit vector
-reduced, which the id of a basis row names; so target classes are keyed by
-those ids, and only rows with more nonzero entries are reduced for every
-subspace.  A walk leaf is a nontrivial tuple's sub dimensions and the sub
-half ids of its entries, then its quotient dimensions and quotient half
-ids, collected once per member.  Each half of a leaf determines its side, so
-the sub and the quotient are identified once per oracle, memoised on that
-half, and only a new one is assembled from the half matrices and handed to
-``identify``.
+tables read the subspaces of F_p^d through one frame record per (d, p), one
+tuple per field: pivots, non-pivot columns, bases, the ids of their rows,
+the distinct rows themselves and the dimension of each subspace, so each
+table maps every distinct basis row once.  Reduction modulo a target
+subspace is linear, and a matrix row with one nonzero entry reduces to a
+multiple of one unit vector reduced, which the id of a basis row names; so
+target classes are keyed by those ids, and only rows with more nonzero
+entries are reduced for every subspace.  A walk leaf is a nontrivial tuple's
+sub dimensions and the sub half ids of its entries, then its quotient
+dimensions and quotient half ids, collected once per member.  Each half of a
+leaf determines its side, so the sub and the quotient are identified once
+per oracle, memoised on that half, and only a new one is assembled from the
+half matrices and handed to ``identify``.
 """
 
 from __future__ import annotations
@@ -112,7 +110,8 @@ class _MemberMasks(NamedTuple):
 
 
 class _ArrowTable(NamedTuple):
-    """One arrow matrix's blocks over classes of subspaces, as half ids."""
+    """One arrow matrix's blocks over classes of subspaces, as half ids;
+    built once per matrix and pair of dimensions, in ``Oracle._arrow_tables``."""
 
     source_class: array  # class of each ``fp.subspaces(d_s, p)`` position
     target_class: array  # class of each ``fp.subspaces(d_t, p)`` position
@@ -120,7 +119,6 @@ class _ArrowTable(NamedTuple):
     # source class i, target class j at i * n_targets + j: the ids of the
     # sub and the quotient block in ``Oracle._half_mats``, None if unstable
     entries: list[tuple[int, int] | None]
-    serial: int  # the table's position in ``Oracle._arrow_tables``
 
 
 class OracleError(RuntimeError):
@@ -245,7 +243,6 @@ class Oracle:
         self.dim_bound = dim_bound
         self._order = {n: i for i, n in enumerate(preset.indec_names)}
         self._rep_cache: dict[Member, Rep] = {}
-        self._summand_cache: dict[Member, tuple[tuple[int, int], ...]] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
@@ -255,9 +252,6 @@ class Oracle:
         self._half_ids: dict[fp.Matrix, int] = {}
         self._half_mats: list[fp.Matrix] = []
         self._leaf_members: dict[tuple, Member] = {}
-        # The classes at a vertex, keyed by its dimension and, for each table
-        # there, twice the table's serial plus its role (1 for the target).
-        self._vertex_classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
         self._indec_hom = tuple(
             tuple(
@@ -267,7 +261,6 @@ class Oracle:
         )
         self.members = self._build_universe()
         self.index = {m: i for i, m in enumerate(self.members)}
-        self._bit = {m: 1 << i for i, m in enumerate(self.members)}
         self._filt_memo: dict[int, int] = {}  # generator mask -> its closure
         self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = [self.dim_of(m) for m in self.members]
@@ -386,11 +379,7 @@ class Oracle:
 
     def _summands(self, member: Member) -> tuple[tuple[int, int], ...]:
         """(indecomposable index, multiplicity) of each distinct summand."""
-        found = self._summand_cache.get(member)
-        if found is None:
-            found = tuple((self._order[n], k) for n, k in Counter(member).items())
-            self._summand_cache[member] = found
-        return found
+        return tuple((self._order[n], k) for n, k in Counter(member).items())
 
     def hom_dim(self, x: Member, y: Member) -> int:
         """Additive over summands, so no linear algebra is needed here."""
@@ -580,10 +569,9 @@ class Oracle:
             for (pivots_s, images), (_, basis_s) in sources.items()
             for (pivots_t, _), (_, reduced, columns) in targets.items()
         ]
-        table = _ArrowTable(
-            source_class, target_class, len(targets), entries, len(self._arrow_tables)
+        table = self._arrow_tables[key] = _ArrowTable(
+            source_class, target_class, len(targets), entries
         )
-        self._arrow_tables[key] = table
         return table
 
     def _semisimple_pairs(self, member: Member) -> frozenset[tuple[Member, Member]]:
@@ -639,22 +627,15 @@ class Oracle:
         # A vertex class is (dimension, class in each table at the vertex),
         # the tables in arrow order, source role before target role.
         columns = [[_frames(d, p).dims] for d in dims]
-        keys = [[d] for d in dims]  # the ``_vertex_classes`` keys
         # Each arrow is looked up once both of its ends have a class.
         checks = [[] for _ in range(nv)]
         for a, ((s, t), table) in enumerate(zip(arrows, tables)):
             columns[s].append(table.source_class)
-            keys[s].append(2 * table.serial)
             i = len(columns[s]) - 1
             columns[t].append(table.target_class)
-            keys[t].append(2 * table.serial + 1)
             j = len(columns[t]) - 1
             checks[max(s, t)].append((a, s, i, t, j, table.n_targets, table.entries))
-        memo = self._vertex_classes  # a class list is never empty
-        classes = [
-            memo.get(key) or memo.setdefault(key, list(dict.fromkeys(zip(*cols))))
-            for key, cols in zip(map(tuple, keys), columns)
-        ]
+        classes = [list(dict.fromkeys(zip(*cols))) for cols in columns]
         chosen, sub_dims = [None] * nv, [0] * nv
         sub_halves, quot_halves = [0] * len(arrows), [0] * len(arrows)
         total = rep.total_dim
@@ -782,19 +763,14 @@ class Oracle:
         return bricks - {a for b in bricks for a in self.subobjects(b) if a != b}
 
     def cofinal_closure(self, bricks) -> frozenset[Member]:
-        """Adjoin subobjects that map into every member by zero or a mono."""
+        """Adjoin the bricks among the subobjects that map into every member
+        by zero or a mono."""
         original = frozenset(bricks)
-        grown = set(original)
-        candidates = set()
-        for m in original:
-            candidates |= self.subobjects(m)
-        candidates -= grown | {ZERO}
-        for n in sorted(candidates, key=self.index.__getitem__):
-            if not self.is_brick(n):
-                continue
-            if all(self.mono_ok(n, m) for m in original):
-                grown.add(n)
-        return frozenset(grown)
+        candidates = set(self._bricks) - original
+        candidates &= set().union(*map(self.subobjects, original))
+        return original | {
+            n for n in candidates if all(self.mono_ok(n, m) for m in original)
+        }
 
     # ------------------------------------------------------------------
     # subcategory sets (factorisation style)
@@ -802,10 +778,10 @@ class Oracle:
     def _subcat_mask(self, e) -> int:
         """The mask of a subcategory set, validated in the same pass: it must
         hold the zero module (index 0) and lie inside the universe."""
-        bit, mask, stray = self._bit, 0, set()
+        index, mask, stray = self.index, 0, set()
         for m in e:
-            if m in bit:
-                mask |= bit[m]
+            if m in index:
+                mask |= 1 << index[m]
             else:
                 stray.add(m)
         if not mask & 1:
@@ -823,19 +799,20 @@ class Oracle:
     @cached_property
     def _tables(self) -> list[_MemberMasks]:
         """Every member's subquotient table as masks, in universe order."""
-        bit, tables = self._bit, []
+        index, tables = self.index, []
         for x in self.members:
             subs = quots = 0
             pairs = []
             for a, q in self.subquotients(x):
-                subs |= bit[a]
-                quots |= bit[q]
-                if a != ZERO and q != ZERO:
-                    pairs.append((bit[a], bit[q]))
+                a, q = 1 << index[a], 1 << index[q]
+                subs |= a
+                quots |= q
+                if a != 1 and q != 1:  # the zero module is member 0
+                    pairs.append((a, q))
             splits = tuple(sorted({a | q for a, q in pairs}))
             # Members are sorted tuples, so a member less one summand is a
             # member's key; distinct bits sum to their union.
-            parts = sum({bit[x[:j] + x[j + 1 :]] for j in range(len(x))})
+            parts = sum({1 << index[x[:j] + x[j + 1 :]] for j in range(len(x))})
             tables.append(_MemberMasks(splits, subs, quots, tuple(pairs), parts))
         return tables
 
@@ -899,7 +876,7 @@ class Oracle:
         """
         gens = list(gens)
         self._subcat_mask([ZERO, *gens])
-        bits = [self._bit[g] for g in gens]
+        bits = [1 << self.index[g] for g in gens]
         least: dict[int, int] = {}  # closure mask -> least generating subset
 
         def grow(mask: int, subset: int, start: int) -> None:
@@ -908,7 +885,7 @@ class Oracle:
                 if not bits[i] & mask:
                     grow(self._extend_filt(mask, bits[i]), subset | 1 << i, i + 1)
 
-        grow(self._closure(self._bit[ZERO]), 0, 0)
+        grow(self._closure(1), 0, 0)  # the zero module is member 0
         return {
             subset: self._closure_flags(mask)
             for subset, mask in sorted((s, m) for m, s in least.items())

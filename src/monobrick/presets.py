@@ -7,9 +7,9 @@ on row vectors, so an arrow ``src -> tgt`` carries a ``dims[src] x
 dims[tgt]`` matrix and path composition multiplies left to right.
 
 One builder, :func:`interval_preset`, makes every preset: its
-indecomposables are thin, one per arc of its algebra.  :data:`PRESETS`
-gives each preset its algebra, and ``a3_source``, the one preset that is
-not serial, its own arrows:
+indecomposables are thin, one per arc of its algebra.  The package's
+:data:`~monobrick.PRESETS` table gives each preset its algebra, and
+``a3_source``, the one preset that is not serial, its own arrows:
 
 >>> interval_preset("a3_source", *PRESETS["a3_source"], 3).indec_names
 ('1', '2', '3', '1/2', '3/2', '13/2')
@@ -26,7 +26,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from monobrick import FIELD_SIZES, PRESET_NAMES
+from monobrick import FIELD_SIZES, PRESET_NAMES, PRESETS
 from monobrick.arcs import Algebra, arc_length, socle_series
 from monobrick.fp import Matrix, is_zero_matrix, mat_chain, zero_matrix
 
@@ -142,18 +142,6 @@ def interval_preset(
         p=p,
         arc_algebra=arc_algebra,
     )
-
-
-# Every preset as its algebra and its arrows, None for the Nakayama quiver.
-# a3_source orients A3 as 1 -> 2 <- 3; the arc layer models only the
-# Nakayama orientation, so it has no arc algebra.
-PRESETS = {
-    "a2_linear": (Algebra.linear_a(2), None),
-    "a3_linear": (Algebra.linear_a(3), None),
-    "a3_source": (Algebra.linear_a(3), ((0, 1), (2, 1))),
-    "nak2": (Algebra.cyclic_b(2), None),
-    "b3": (Algebra.cyclic_b(3), None),
-}
 
 
 def _validate(preset: Preset) -> Preset:

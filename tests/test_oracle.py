@@ -68,6 +68,18 @@ def test_preset_without_a_simple_is_refused():
         Oracle(broken)
 
 
+def test_fingerprint_collision_is_refused():
+    # The first indecomposable listed again under a second name.
+    preset = get_preset("a2_linear")
+    doubled = preset._replace(
+        indec_names=(*preset.indec_names, "1b"),
+        indec_reps=(*preset.indec_reps, preset.indec_reps[0]),
+    )
+    with pytest.raises(OracleError) as refused:
+        Oracle(doubled)
+    assert str(refused.value) == "fingerprint collision between ('1',) and ('1b',)"
+
+
 def test_unknown_preset_and_bad_field():
     with pytest.raises(KeyError):
         get_preset("nak5")
@@ -112,8 +124,31 @@ def test_hom_elements_budget_guard():
         next(oracle.hom_elements(big, big))
 
 
+def test_hom_kind_refuses_a_hom_space_of_dimension_two():
+    with pytest.raises(OracleError) as refused:
+        get_oracle("a2_linear").hom_kind(("1", "1"), ("1",))
+    assert str(refused.value) == (
+        "hom space between ('1', '1') and ('1',) has dimension 2"
+    )
+
+
 # ---------------------------------------------------------------------------
 # identification
+
+
+@pytest.mark.parametrize(
+    "source,target,message",
+    [
+        (("1",), ("2",), "('2',) has different dimensions than the input"),
+        (("1", "2"), ("2/1",), "no isomorphism onto ('2/1',) exists"),
+        (("1",) * 6, ("1",) * 6, "hom space too large for the exhaustive audit"),
+    ],
+)
+def test_assert_isomorphic_refusals(source, target, message):
+    oracle = get_oracle("a2_linear")
+    with pytest.raises(OracleError) as refused:
+        oracle.assert_isomorphic(oracle.rep_of(source), target)
+    assert str(refused.value) == message
 
 
 class IdentifyingOracle(Oracle):
@@ -767,6 +802,32 @@ def test_cofinal_closure_adds_the_missing_socle():
     oracle = get_oracle("nak2")
     assert oracle.cofinal_closure([("2/1",)]) == {("1",), ("2/1",)}
     assert oracle.cofinal_closure([("1/2",)]) == {("2",), ("1/2",)}
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in ALL for p in (2, 3)])
+def test_cofinal_closure_matches_its_element_wise_definition(name, p):
+    # Every subobject of a member that is a brick, tested element by
+    # element, and maps into every member by zero or a mono; once the brick
+    # census is built, the closure reads it and tests no candidate itself.
+    class Counting(Oracle):
+        brick_tests = 0
+
+        def is_brick(self, member):
+            self.brick_tests += 1
+            return super().is_brick(member)
+
+    oracle = Counting(get_preset(name, p))
+    monos = oracle.monobricks()
+    built = oracle.brick_tests
+    closures = [oracle.cofinal_closure(mm) for mm in monos]
+    assert oracle.brick_tests == built
+    for mm, closure in zip(monos, closures):
+        subobjects = {n for m in mm for n in oracle.subobjects(m)}
+        assert closure == mm | {
+            n
+            for n in subobjects
+            if oracle.is_brick(n) and all(oracle.mono_ok(n, m) for m in mm)
+        }
 
 
 def test_cofinal_closure_properties_over_all_monobricks():

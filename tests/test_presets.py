@@ -5,7 +5,7 @@ import pytest
 from literal_presets import LITERAL_PRESETS
 from monobrick.arcs import Algebra
 from monobrick.oracle import Oracle
-from monobrick.presets import _validate, get_preset, interval_preset
+from monobrick.presets import ONE, _rep, _validate, get_preset, interval_preset
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -80,3 +80,30 @@ def test_every_orientation_of_a3_and_a4(word, monobricks, whole):
     oracle = Oracle(preset, n)
     assert len(oracle.monobricks()) == monobricks
     assert len(oracle.semibricks()) == {3: 14, 4: 42}[n]
+
+
+def test_validate_refuses_duplicate_names():
+    preset = get_preset("a2_linear")
+    names = preset.indec_names
+    with pytest.raises(ValueError) as refused:
+        _validate(preset._replace(indec_names=(names[0], *names[:-1])))
+    assert str(refused.value) == "a2_linear: duplicate indecomposable names"
+
+
+def test_validate_refuses_a_surviving_zero_path():
+    # A nak2 module with ONE on both arrows: the path 1 -> 2 -> 1 survives.
+    preset = get_preset("nak2")
+    loop = _rep(preset.arrows, (1, 1), {0: ONE, 1: ONE})
+    broken = preset._replace(
+        indec_names=(*preset.indec_names, "loop"),
+        indec_reps=(*preset.indec_reps, loop),
+    )
+    with pytest.raises(ValueError) as refused:
+        _validate(broken)
+    assert str(refused.value) == "nak2: path (1, 0) survives on loop"
+
+
+def test_rep_refuses_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError) as refused:
+        _rep(((0, 1),), (1, 1), {0: ((1, 1),)})
+    assert str(refused.value) == "arrow 0 matrix has the wrong shape"

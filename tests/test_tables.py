@@ -24,6 +24,7 @@ from monobrick.verify import (
     EXPECTED_COUNTS,
     check_arc_agreement,
     check_census,
+    check_closure_table,
     check_identification,
     check_left_schur,
     check_structural_identities,
@@ -361,6 +362,69 @@ def test_closure_row_reports_wrong_maximal_elements():
 
     problems = closure_row_problems(Flat(get_preset("nak2")), row)
     assert problems == ["{1, 2/1}: maximal elements {1, 2/1}, expected {2/1}"]
+
+
+def _nak2_row(members):
+    return next(r for r in CLOSURE_TABLES["nak2"] if r.members == set(members.split()))
+
+
+def test_closure_table_reports_a_row_outside_the_census():
+    class Missing(Oracle):
+        def monobricks(self):
+            return tuple(m for m in super().monobricks() if m != {ONE, TWO})
+
+    problems = _problems(check_closure_table(Missing(get_preset("nak2"))))
+    assert problems == ["{1, 2} is not a monobrick here"]
+
+
+def test_closure_row_reports_a_wrong_filtration():
+    # The filtration of 1 is made that of {1, 2}; both read wide and
+    # torsion-free, so only the extras differ.
+    class Wider(Oracle):
+        def filt(self, gens):
+            if frozenset(gens) == {ONE}:
+                return super().filt([ONE, TWO])
+            return super().filt(gens)
+
+    problems = closure_row_problems(Wider(get_preset("nak2")), _nak2_row("1"))
+    assert problems == ["{1}: filtration adds {1/2, 2, 2/1}, expected {}"]
+
+
+def test_closure_row_reports_a_wrong_cofinal_closure():
+    class Same(Oracle):
+        def cofinal_closure(self, bricks):
+            return frozenset(bricks)
+
+    problems = closure_row_problems(Same(get_preset("nak2")), _nak2_row("1/2"))
+    assert problems == ["{1/2}: cofinal closure {1/2}, expected {1/2, 2}"]
+
+
+WIDE_VERDICT = "{1}: wide verdict False disagrees with the maximal-element column"
+TF_VERDICT = "{1}: torsion-free verdict False disagrees with the closure column"
+
+
+@pytest.mark.parametrize(
+    ("flag", "expected"),
+    [
+        ("summands", ["{1}: filtration closure summands flag is False, expected True"]),
+        (
+            "kernels",
+            ["{1}: filtration closure kernels flag is False, expected True", WIDE_VERDICT],
+        ),
+        ("images", ["{1}: filtration closure images flag is False, expected True"]),
+        (
+            "extensions",
+            ["{1}: filtration closure is not extension-closed", WIDE_VERDICT, TF_VERDICT],
+        ),
+        ("cokernels", [WIDE_VERDICT]),
+        ("subobjects", [TF_VERDICT]),
+    ],
+)
+def test_closure_row_reports_a_flag_read_false(flag, expected):
+    # The filtration of 1 is 1 and its self-extensions, closed under every
+    # construction; each case reads one flag of it as False.
+    oracle = _misread("nak2", [ONE], **{flag: False})
+    assert closure_row_problems(oracle, _nak2_row("1")) == expected
 
 
 def test_serial_presets_cover_everything_but_the_source():
