@@ -13,12 +13,15 @@ both.  Homs and ranks are additive over summands, so every member's
 fingerprint and ranks are sums of per-indecomposable rows.
 
 Two styles of computation coexist deliberately.  Brick-level checks
-(``is_brick``, ``mono_ok`` and the censuses built on them) iterate over
-actual hom elements.  Category-level operations (``filt``, ``simp``,
-closure flags, the W and F maps) instead factor every morphism through its
-image, so they only consult the subquotient tables; the element route would
-be hopeless at dimension 36.  Tests compare both styles where both are
-affordable.
+(``is_brick``, ``mono_ok``, ``hom_kind``, ``assert_isomorphic`` and the
+censuses built on them) iterate over actual hom elements: each is one
+combination of the flat kernel basis of a hom system, unpacked into
+per-vertex matrices, and one classifier, ``_kinds``, sorts the nonzero ones
+into non-injections, isomorphisms and other injections.  Category-level
+operations (``filt``, ``simp``, closure flags, the W and F maps) instead
+factor every morphism through its image, so they only consult the
+subquotient tables; the element route would be hopeless at dimension 36.
+Tests compare both styles where both are affordable.
 
 Inside the subcategory layer a set of members is an ``int`` mask over
 ``Oracle.index``; public inputs and outputs stay frozensets.  Each input set
@@ -221,15 +224,6 @@ def element_is_injective(
     )
 
 
-def element_is_invertible(
-    element: tuple[fp.Matrix, ...],
-    x_dims: tuple[int, ...],
-    y_dims: tuple[int, ...],
-    p: int,
-) -> bool:
-    return x_dims == y_dims and element_is_injective(element, x_dims, p)
-
-
 class Oracle:
     def __init__(self, preset: Preset, dim_bound: int = DEFAULT_DIM_BOUND):
         max_indec = max(r.total_dim for r in preset.indec_reps)
@@ -372,10 +366,10 @@ class Oracle:
         rows, total = self._hom_system(x, y)
         return total - fp.rank(rows, self.p)
 
-    def _hom_basis_reps(self, x: Rep, y: Rep) -> list[tuple[fp.Matrix, ...]]:
+    def _hom_basis_reps(self, x: Rep, y: Rep) -> list[fp.Vector]:
+        """A basis of the homs, each map flat: vertex by vertex, row by row."""
         rows, total = self._hom_system(x, y)
-        flats = fp.kernel_basis(tuple(rows), total, self.p)
-        return [_unpack_element(f, x.dims, y.dims) for f in flats]
+        return fp.kernel_basis(tuple(rows), total, self.p)
 
     def _summands(self, member: Member) -> tuple[tuple[int, int], ...]:
         """(indecomposable index, multiplicity) of each distinct summand."""
@@ -387,7 +381,7 @@ class Oracle:
         into = self._summands(y)
         return sum(k * m * hom[a][b] for a, k in self._summands(x) for b, m in into)
 
-    def hom_basis(self, x: Member, y: Member) -> list[tuple[fp.Matrix, ...]]:
+    def hom_basis(self, x: Member, y: Member) -> list[fp.Vector]:
         cached = self._hom_basis_cache.get((x, y))
         if cached is None:
             cached = tuple(self._hom_basis_reps(self.rep_of(x), self.rep_of(y)))
@@ -395,21 +389,13 @@ class Oracle:
         return list(cached)
 
     def _expand(self, basis, x_dims, y_dims):
-        """Yield the combination of ``basis`` for every nonzero coefficient vector."""
-        p = self.p
+        """Yield the combination of the flat ``basis`` for every nonzero
+        coefficient vector, unpacked into per-vertex matrices."""
+        p, columns = self.p, list(zip(*basis))
         for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            yield tuple(
-                tuple(
-                    tuple(
-                        sum(c * el[v][i][j] for c, el in zip(coeffs, basis)) % p
-                        for j in range(y_dims[v])
-                    )
-                    for i in range(x_dims[v])
-                )
-                for v in range(len(x_dims))
-            )
+            if any(coeffs):
+                flat = tuple([sum(map(mul, coeffs, col)) % p for col in columns])
+                yield _unpack_element(flat, x_dims, y_dims)
 
     def hom_elements(self, x: Member, y: Member):
         """Yield every nonzero hom element as per-vertex matrices."""
@@ -419,6 +405,18 @@ class Oracle:
                 f"hom space of dimension {len(basis)} is too large to iterate"
             )
         yield from self._expand(basis, self.dims_of(x), self.dims_of(y))
+
+    def _kinds(self, elements, x_dims, y_dims) -> set[HomKind]:
+        """The kinds of the given nonzero maps: a map that is not injective,
+        an injective one between equal dimension vectors, which is an
+        isomorphism, or another injection."""
+        injection = HomKind.ISO if x_dims == y_dims else HomKind.INJECTION
+        p = self.p
+        return {
+            injection if element_is_injective(el, x_dims, p)
+            else HomKind.NONZERO_NON_INJECTION
+            for el in elements
+        }
 
     # ------------------------------------------------------------------
     # identification
@@ -472,10 +470,9 @@ class Oracle:
         basis = self._hom_basis_reps(rep, target)
         if self.p ** len(basis) > _ELEMENT_BUDGET:
             raise OracleError("hom space too large for the exhaustive audit")
-        for element in self._expand(basis, rep.dims, target.dims):
-            if element_is_invertible(element, rep.dims, target.dims, self.p):
-                return
-        raise OracleError(f"no isomorphism onto {member} exists")
+        elements = self._expand(basis, rep.dims, target.dims)
+        if HomKind.ISO not in self._kinds(elements, rep.dims, target.dims):
+            raise OracleError(f"no isomorphism onto {member} exists")
 
     # ------------------------------------------------------------------
     # subquotient tables
@@ -575,20 +572,15 @@ class Oracle:
         return table
 
     def _semisimple_pairs(self, member: Member) -> frozenset[tuple[Member, Member]]:
-        counts = Counter(member)
-        simples = sorted(counts, key=self._order.__getitem__)
-        pairs = set()
-        for sub_counts in itertools.product(
-            *(range(counts[s] + 1) for s in simples)
-        ):
-            sub = []
-            quot = []
-            for s, k in zip(simples, sub_counts):
-                sub.extend([s] * k)
-                quot.extend([s] * (counts[s] - k))
-            # both halves come out sorted, like every member
-            pairs.add((tuple(sub), tuple(quot)))
-        return frozenset(pairs)
+        """The chosen summands and the rest, for each choice of summands;
+        both halves come out sorted, like every member."""
+        return frozenset(
+            (
+                tuple(s for s, c in zip(member, choice) if c),
+                tuple(s for s, c in zip(member, choice) if not c),
+            )
+            for choice in itertools.product((1, 0), repeat=len(member))
+        )
 
     def subquotients(self, member: Member) -> frozenset[tuple[Member, Member]]:
         """All (subobject, quotient) pairs of the member, up to isomorphism.
@@ -697,10 +689,9 @@ class Oracle:
             # projection onto a proper summand is never invertible.
             return False
         dims = self.dims_of(member)
-        return all(
-            element_is_invertible(el, dims, dims, self.p)
-            for el in self.hom_elements(member, member)
-        )
+        return self._kinds(self.hom_elements(member, member), dims, dims) == {
+            HomKind.ISO
+        }
 
     @cached_property
     def _bricks(self) -> tuple[Member, ...]:
@@ -713,12 +704,8 @@ class Oracle:
 
     def mono_ok(self, x: Member, y: Member) -> bool:
         """Every hom element is zero or injective (checked element by element)."""
-        if self.hom_dim(x, y) == 0:
-            return True
-        dims = self.dims_of(x)
-        return all(
-            element_is_injective(el, dims, self.p)
-            for el in self.hom_elements(x, y)
+        return self.hom_dim(x, y) == 0 or HomKind.NONZERO_NON_INJECTION not in (
+            self._kinds(self.hom_elements(x, y), self.dims_of(x), self.dims_of(y))
         )
 
     def mono_ok_factored(self, x: Member, y: Member) -> bool:
@@ -728,13 +715,11 @@ class Oracle:
 
     def _census(self, pair_ok) -> tuple[frozenset[Member], ...]:
         bricks = self._bricks
-        adjacency = []
-        for i, b in enumerate(bricks):
-            mask = 0
-            for j, c in enumerate(bricks):
-                if i != j and pair_ok(b, c) and pair_ok(c, b):
-                    mask |= 1 << j
-            adjacency.append(mask)
+        adjacency = [0] * len(bricks)
+        for (i, b), (j, c) in itertools.combinations(enumerate(bricks), 2):
+            if pair_ok(b, c) and pair_ok(c, b):
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
         return tuple(
             frozenset(bricks[i] for i in chosen)
             for chosen in iter_index_cliques(adjacency)
@@ -1030,15 +1015,7 @@ class Oracle:
             raise OracleError(
                 f"hom space between {x} and {y} has dimension {d}"
             )
-        x_dims, y_dims = self.dims_of(x), self.dims_of(y)
-        kinds = set()
-        for el in self.hom_elements(x, y):
-            if element_is_invertible(el, x_dims, y_dims, self.p):
-                kinds.add(HomKind.ISO)
-            elif element_is_injective(el, x_dims, self.p):
-                kinds.add(HomKind.INJECTION)
-            else:
-                kinds.add(HomKind.NONZERO_NON_INJECTION)
+        kinds = self._kinds(self.hom_elements(x, y), self.dims_of(x), self.dims_of(y))
         if len(kinds) != 1:
             raise OracleError(
                 f"nonzero maps between {x} and {y} disagree in kind: {kinds}"

@@ -153,16 +153,17 @@ class ArcTable:
     holds the monobrick rows (nonzero maps either way are injective) and
     the semibrick rows (all maps either way are zero), ``prefixes[p]`` the
     submodules of arc ``p`` (``p`` included), ``bad[p]`` the targets of
-    its nonzero non-injections and ``blockers[m]`` their sources.
+    its nonzero non-injections, and ``keep[m]`` every arc but ``m`` and
+    the sources of nonzero non-injections into ``m``.
 
     An arc ``p`` is in the cofinal closure of a member mask ``C`` when it
     is a submodule of a member (in ``reach``, the OR of ``prefixes[C]``)
     and no member blocks it (``bad[p] & C == 0``: ``p`` is in ``ok``, the
-    arcs outside every ``blockers[C]``).  The searches below carry the
-    closure's arcs outside ``C``, ``pending = reach & ok & ~C``, and
-    ``open = ok & ~C``: adding arc ``i`` puts the open part of
-    ``prefixes[i]`` into ``pending`` and takes ``i`` and ``blockers[i]``
-    out of both.
+    arcs that are no source of a nonzero non-injection into ``C``).  The
+    searches below carry the closure's arcs outside ``C``,
+    ``pending = reach & ok & ~C``, and ``open = ok & ~C``, the AND of
+    ``keep[C]``: adding arc ``i`` puts the open part of ``prefixes[i]``
+    into ``pending`` and ANDs both with ``keep[i]``.
     """
 
     def __init__(self, algebra: Algebra) -> None:
@@ -204,18 +205,14 @@ class ArcTable:
         }
         self.prefixes = tuple(prefixes)
         self.bad = tuple(bad)
-        self.blockers = tuple(blockers)
-
-    def _keep(self) -> list[int]:
-        """``keep[i]``: the arcs that adding arc ``i`` leaves open."""
-        return [~(row | 1 << i) for i, row in enumerate(self.blockers)]
+        self.keep = tuple(~(row | 1 << i) for i, row in enumerate(blockers))
 
     def closed_masks(self) -> set[int]:
         """Masks of the cofinally closed diagrams: the distinct closures
         ``members | pending`` of the semibrick cliques, carried down their
         search."""
         adjacency = self.adjacency[DiagramKind.SEMIBRICK]
-        prefixes, keep = self.prefixes, self._keep()
+        prefixes, keep = self.prefixes, self.keep
         found: set[int] = set()
         add = found.add
         stack = [(0, 0, -1, (1 << len(adjacency)) - 1)]
@@ -258,7 +255,7 @@ class ArcTable:
         ['<>', '<a>', '<ab>', '<ac>', '<c>']
         """
         adjacency = self.adjacency[DiagramKind.MONOBRICK]
-        prefixes, bad, keep = self.prefixes, self.bad, self._keep()
+        prefixes, bad, keep = self.prefixes, self.bad, self.keep
         stack = [(head, 0, -1, (1 << len(adjacency)) - 1, first)]
         pop = stack.pop
         push = stack.append

@@ -959,8 +959,14 @@ def test_preset_choices_are_the_verified_presets():
     assert list(cli._PRESET_CHOICE.choices) == sorted(EXPECTED_COUNTS)
 
 
-def test_preset_names_are_the_preset_builders():
-    assert tuple(presets.PRESETS) == monobrick.PRESET_NAMES
+def test_every_preset_builds_at_every_field_size():
+    # Only the Nakayama quiver, which the entry gives by naming no arrows,
+    # carries the table's algebra as its arc model.
+    for name, (algebra, arrows) in monobrick.PRESETS.items():
+        for p in monobrick.FIELD_SIZES:
+            preset = presets.get_preset(name, p)
+            assert (preset.name, preset.p) == (name, p)
+            assert preset.arc_algebra == (algebra if arrows is None else None)
 
 
 def test_in_file_is_closed_after_reading(tmp_path):

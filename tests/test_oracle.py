@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from literal_tables import literal_fingerprint, literal_identify
 
-from monobrick.arcs import Algebra, hom_kind
+from monobrick.arcs import Algebra, HomKind, hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
 from monobrick.oracle import (
     ZERO,
@@ -122,6 +122,74 @@ def test_hom_elements_budget_guard():
     big = ("1",) * 6
     with pytest.raises(OracleError, match="too large"):
         next(oracle.hom_elements(big, big))
+
+
+def literal_rank(rows, p):
+    """Rank over F_p: take any nonzero row, clear its first nonzero column
+    from the others, repeat."""
+    rows, rank = [list(r) for r in rows], 0
+    while rows:
+        row = rows.pop()
+        c = next((c for c, a in enumerate(row) if a % p), None)
+        if c is not None:
+            rank += 1
+            f = pow(row[c], -1, p)
+            rows = [[(a - r[c] * f * b) % p for a, b in zip(r, row)] for r in rows]
+    return rank
+
+
+def literal_homs(x, y, arrows, p):
+    """Every map from rep ``x`` to rep ``y``: each tuple of per-vertex
+    matrices over F_p, entry by entry, that commutes with every arrow."""
+    shapes = list(zip(x.dims, y.dims))
+    for entries in product(range(p), repeat=sum(a * b for a, b in shapes)):
+        it = iter(entries)
+        f = [[[next(it) for _ in range(b)] for _ in range(a)] for a, b in shapes]
+        if all(
+            # row i, column j of x_arrow f_t - f_s y_arrow
+            (
+                sum(xa[i][k] * f[t][k][j] for k in range(x.dims[t]))
+                - sum(f[s][i][k] * ya[k][j] for k in range(y.dims[s]))
+            ) % p == 0
+            for (s, t), xa, ya in zip(arrows, x.mats, y.mats)
+            for i in range(x.dims[s])
+            for j in range(y.dims[t])
+        ):
+            yield f
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in ALL for p in (2, 3)])
+def test_hom_elements_match_a_brute_force_over_all_matrices(name, p):
+    # No hom system, kernel basis or expansion: every tuple of matrices is
+    # tried, and each map's kind is read off the ranks of its matrices.
+    oracle = get_oracle(name, p=p)
+    bricks = oracle.brick_members()
+    small = [m for m in oracle.members if oracle.dim_of(m) <= 2]
+    pairs = dict.fromkeys([*product(bricks, repeat=2), *product(small, repeat=2)])
+    seen = set()
+    for x, y in pairs:
+        rx, ry = oracle.rep_of(x), oracle.rep_of(y)
+        maps = list(literal_homs(rx, ry, oracle.preset.arrows, p))
+        assert len(maps) == p ** oracle.hom_dim(x, y), (x, y)
+        kinds = set()
+        for f in maps:
+            if any(a for m in f for row in m for a in row):
+                injective = all(
+                    literal_rank(m, p) == d for m, d in zip(f, rx.dims)
+                )
+                kinds.add(
+                    HomKind.NONZERO_NON_INJECTION if not injective
+                    else HomKind.ISO if rx.dims == ry.dims
+                    else HomKind.INJECTION
+                )
+        seen |= kinds
+        assert oracle.mono_ok(x, y) == (HomKind.NONZERO_NON_INJECTION not in kinds)
+        if x == y:
+            assert oracle.is_brick(x) == (kinds == {HomKind.ISO}), x
+        if x in bricks and y in bricks:
+            assert len(kinds) <= 1
+            assert oracle.hom_kind(x, y) is (kinds.pop() if kinds else HomKind.ZERO)
+    assert seen == set(HomKind) - {HomKind.ZERO}
 
 
 def test_hom_kind_refuses_a_hom_space_of_dimension_two():
@@ -343,6 +411,19 @@ def test_census_counts(name, mono, semi):
     assert len(semis) == semi
     assert monos[0] == frozenset()
     assert set(semis) <= set(monos)
+
+
+def test_monobrick_census_tests_each_ordered_pair_at_most_once():
+    class Counting(Oracle):
+        def mono_ok(self, x, y):
+            self.asked.append((x, y))
+            return super().mono_ok(x, y)
+
+    oracle = Counting(get_preset("b3"))
+    oracle.asked = []
+    oracle.monobricks()
+    assert len(oracle.asked) == len(set(oracle.asked))
+    assert all(x != y for x, y in oracle.asked)
 
 
 def test_mono_ok_element_and_factored_routes_agree():

@@ -79,6 +79,57 @@ def test_check_applicability():
         assert names[-1] == "left-schur-closure"
 
 
+def _run_on(monkeypatch, oracle_class):
+    """``run_checks("a2_linear")`` on a fresh ``oracle_class``, as
+    ``{name: (passed, detail)}``."""
+    monkeypatch.setattr(
+        "monobrick.verify.get_oracle",
+        lambda name, bound, p: oracle_class(get_preset(name, p), bound),
+    )
+    return {r.name: (r.passed, r.detail) for r in run_checks("a2_linear")}
+
+
+def test_run_checks_reports_an_audit_that_raises(monkeypatch):
+    # The simple at vertex 1 is the only member of its dimensions, so only
+    # the strict fingerprint check of the identification audit reads its
+    # entries, and it raises there.
+    class Misreporting(Oracle):
+        def _fingerprint_entries(self, rep):
+            entries = super()._fingerprint_entries(rep)
+            if rep.dims == (1, 0):
+                yield next(entries) + 1
+            yield from entries
+
+    results = _run_on(monkeypatch, Misreporting)
+    assert list(results) == list(_results("a2_linear"))
+    assert results.pop("identification") == (
+        False, "fingerprint audit failed for a representation matched to ('1',)"
+    )
+    assert all(passed for passed, _ in results.values())
+
+
+def test_run_checks_reports_tables_that_cannot_be_built(monkeypatch):
+    # Refusing a walk leaf fails the table prebuild, and then every audit
+    # that reads a table; the two audits that read none still pass.
+    class Refusing(Oracle):
+        def identify(self, rep, strict=False):
+            if rep.dims == (1, 0) and not strict:
+                raise OracleError("walk leaf refused")
+            return super().identify(rep, strict)
+
+    results = _run_on(monkeypatch, Refusing)
+    assert list(results) == list(_results("a2_linear"))
+    refused = (False, "walk leaf refused")
+    assert results == {
+        "universe-size": (True, ""),
+        "identification": (True, ""),
+        "census": refused,
+        "arc-agreement": refused,
+        "structural-identities": refused,
+        "left-schur-closure": refused,
+    }
+
+
 @pytest.mark.parametrize(
     ("method", "mismatch"),
     [
@@ -209,6 +260,28 @@ def test_census_reports_monobricks_that_do_not_start_empty():
 
     problems = _problems(check_census(Reversed(get_preset("a2_linear"))))
     assert problems == ["the empty monobrick is not enumerated first"]
+
+
+def test_census_reports_a_missing_brick():
+    # The censuses read the cached brick list, not ``brick_members``, so
+    # only the brick count moves.
+    class Short(Oracle):
+        def brick_members(self):
+            return super().brick_members()[:-1]
+
+    problems = _problems(check_census(Short(get_preset("a2_linear"))))
+    assert problems == ["2 bricks, expected 3"]
+
+
+def test_census_reports_a_monobrick_listed_twice():
+    # {2/1} is a semibrick that is not cofinally closed, so a second copy
+    # moves the monobrick count alone.
+    class Doubled(Oracle):
+        def monobricks(self):
+            return (*super().monobricks(), frozenset({TWO_ONE}))
+
+    problems = _problems(check_census(Doubled(get_preset("a2_linear"))))
+    assert problems == ["7 monobricks, expected 6"]
 
 
 def test_arc_agreement_refuses_a_preset_without_an_arc_model():
