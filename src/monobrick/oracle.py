@@ -17,7 +17,10 @@ Two styles of computation coexist deliberately.  Brick-level checks
 censuses built on them) iterate over actual hom elements: each is one
 combination of the flat kernel basis of a hom system, unpacked into
 per-vertex matrices, and one classifier, ``_kinds``, sorts the nonzero ones
-into non-injections, isomorphisms and other injections.  Category-level
+into non-injections, isomorphisms and other injections.  The kinds are
+kept per ordered pair, so ``is_brick``, ``mono_ok`` and ``hom_kind`` (and
+the censuses, ``cofinal_closure`` and the audits above them) expand each
+hom space once.  Category-level
 operations (``filt``, ``simp``, closure flags, the W and F maps) instead
 factor every morphism through its image, so they only consult the
 subquotient tables; the element route would be hopeless at dimension 36.
@@ -239,6 +242,7 @@ class Oracle:
         self._rep_cache: dict[Member, Rep] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
         self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
+        self._kinds_memo: dict[tuple[Member, Member], set[HomKind]] = {}
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
         # The id of every distinct half of a block, the matrix of each id, and
         # the member identified for each side of a walk leaf: its dimensions,
@@ -405,6 +409,16 @@ class Oracle:
                 f"hom space of dimension {len(basis)} is too large to iterate"
             )
         yield from self._expand(basis, self.dims_of(x), self.dims_of(y))
+
+    def _pair_kinds(self, x: Member, y: Member) -> set[HomKind]:
+        """``_kinds`` of every nonzero map from ``x`` to ``y``, expanded once
+        per ordered pair; callers must not change the set."""
+        kinds = self._kinds_memo.get((x, y))
+        if kinds is None:
+            kinds = self._kinds_memo[x, y] = self._kinds(
+                self.hom_elements(x, y), self.dims_of(x), self.dims_of(y)
+            )
+        return kinds
 
     def _kinds(self, elements, x_dims, y_dims) -> set[HomKind]:
         """The kinds of the given nonzero maps: a map that is not injective,
@@ -688,10 +702,7 @@ class Oracle:
             # A space that large only occurs for decomposable members, and a
             # projection onto a proper summand is never invertible.
             return False
-        dims = self.dims_of(member)
-        return self._kinds(self.hom_elements(member, member), dims, dims) == {
-            HomKind.ISO
-        }
+        return self._pair_kinds(member, member) == {HomKind.ISO}
 
     @cached_property
     def _bricks(self) -> tuple[Member, ...]:
@@ -705,7 +716,7 @@ class Oracle:
     def mono_ok(self, x: Member, y: Member) -> bool:
         """Every hom element is zero or injective (checked element by element)."""
         return self.hom_dim(x, y) == 0 or HomKind.NONZERO_NON_INJECTION not in (
-            self._kinds(self.hom_elements(x, y), self.dims_of(x), self.dims_of(y))
+            self._pair_kinds(x, y)
         )
 
     def mono_ok_factored(self, x: Member, y: Member) -> bool:
@@ -1015,12 +1026,12 @@ class Oracle:
             raise OracleError(
                 f"hom space between {x} and {y} has dimension {d}"
             )
-        kinds = self._kinds(self.hom_elements(x, y), self.dims_of(x), self.dims_of(y))
+        kinds = self._pair_kinds(x, y)
         if len(kinds) != 1:
             raise OracleError(
                 f"nonzero maps between {x} and {y} disagree in kind: {kinds}"
             )
-        return kinds.pop()
+        return next(iter(kinds))
 
 
 @lru_cache(maxsize=None)

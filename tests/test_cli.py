@@ -892,6 +892,7 @@ _SEARCH = _CORE | {"monobrick.search"}
 _ORACLE = _SEARCH | {
     f"monobrick.{m}" for m in ("poset", "fp", "presets", "oracle", "verify")
 }
+_JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
 
 
 @pytest.mark.parametrize(
@@ -900,26 +901,28 @@ _ORACLE = _SEARCH | {
         (["--version"], _CORE),
         (["enumerate", "--algebra", "A", "--n", "2"], _SEARCH),
         (["count", "--algebra", "B", "--n-max", "2"], _SEARCH),
-        (["closure", "--hasse"], _CORE | {"monobrick.poset"}),
-        (["mmax", "--hasse"], _CORE | {"monobrick.poset"}),
-        (["render"], _CORE),
-        (["ncl"], _CORE),
+        (["count", "--algebra", "B", "--n-max", "2", "--format", "json"], _SEARCH | _JSON),
+        (["closure", "--hasse"], _CORE | {"monobrick.poset"} | _JSON),
+        (["mmax", "--hasse"], _CORE | {"monobrick.poset"} | _JSON),
+        (["render"], _CORE | _JSON),
+        (["ncl"], _CORE | _JSON),
         (["oracle", "verify", "--preset", "a2_linear"], _ORACLE),
     ],
     ids=[
-        "version", "enumerate", "count", "closure", "mmax", "render", "ncl",
-        "oracle-verify",
+        "version", "enumerate", "count", "count-json", "closure", "mmax",
+        "render", "ncl", "oracle-verify",
     ],
 )
 def test_commands_load_only_their_layers(args, layers):
     # Only enumerate, count and oracle verify compile the clique-search
-    # engine, only oracle verify the matrix oracle, and no command imports
-    # click or dataclasses, which are listed with the package's modules when
-    # they are loaded.
+    # engine, only oracle verify the matrix oracle, only the commands that
+    # parse JSON or encode a payload load json (enumerate writes its lines
+    # itself), and no command imports click or dataclasses, which are listed
+    # with the package's modules when they are loaded.
     script = (
         "import atexit, sys\n"
         "atexit.register(lambda: print(*sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('monobrick', 'dataclasses', 'click')),"
+        " if m.partition('.')[0] in ('monobrick', 'dataclasses', 'click', 'json')),"
         " file=sys.stderr))\n"
         "from monobrick.cli import main\n"
         "main()\n"
@@ -1169,6 +1172,51 @@ def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(
         )
     assert proc.returncode == code
     assert proc.stdout == ""
+
+
+# -- the process entry: run() ends by os._exit unless observed -------------
+
+_ENTRY = (
+    "import atexit, sys\n"
+    "atexit.register(print, 'atexit handler ran')\n"
+    "{setup}"
+    "from monobrick.cli import run\n"
+    "run()\n"
+)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize(
+    "args,code",
+    [(["--version"], 0), (["enumerate", "--algebra", "C", "--n", "2"], 2)],
+    ids=["version", "usage"],
+)
+def test_run_skips_exit_handlers_unless_traced(args, code, traced):
+    # Untraced, the process ends by os._exit and no atexit handler runs.
+    # Under a tracer (coverage, a debugger) it ends by sys.exit, so that the
+    # tracer can write its report.  The exit code is the same either way.
+    setup = "sys.settrace(lambda *event: None)\n" if traced else ""
+    proc = run_module("-c", _ENTRY.format(setup=setup), *args)
+    assert proc.returncode == code
+    assert ("atexit handler ran\n" in proc.stdout) == traced
+
+
+def test_run_under_cprofile_still_prints_the_profile():
+    proc = run_module("-m", "cProfile", "-m", "monobrick.cli", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("monobrick, version ")
+    assert "function calls" in proc.stdout
+
+
+def test_run_writes_a_regular_file_in_full(runner, tmp_path):
+    # Without PYTHONUNBUFFERED, stdout to a file is block-buffered, so the
+    # stream's last block is still buffered when the command returns.
+    args = ["enumerate", "--algebra", "A", "--n", "7"]
+    target = tmp_path / "a7.jsonl"
+    with open(target, "w") as fh:
+        proc = run_module("-m", "monobrick.cli", *args, stdout=fh, PYTHONUNBUFFERED=None)
+    assert proc.returncode == 0, proc.stderr
+    assert target.read_bytes() == invoke(runner, args).stdout_bytes
 
 
 # -- misuse: exit codes and exact stderr -----------------------------------

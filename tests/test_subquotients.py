@@ -11,6 +11,7 @@ are checked against ``literal_entry`` on every pair of subspaces.
 
 import hashlib
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -278,6 +279,36 @@ def test_run_checks_work_is_pinned(name, monkeypatch):
     monkeypatch.setattr(verify, "get_oracle", fresh_oracle)
     assert all(r.passed for r in run_checks(name, 3))
     assert [(o.hom_systems, o.identified) for o in built] == [WORK_AT_P3[name]]
+
+
+class ExpansionCountingOracle(Oracle):
+    """Counts the hom spaces expanded, per ordered pair."""
+
+    def __init__(self, preset, dim_bound):
+        self.expanded = Counter()
+        super().__init__(preset, dim_bound)
+
+    def hom_elements(self, x, y):
+        self.expanded[x, y] += 1
+        return super().hom_elements(x, y)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_checks_expands_each_hom_space_once(name, monkeypatch):
+    # is_brick, mono_ok (asked by the census, cofinal_closure and the census
+    # audit's cross-check) and hom_kind (arc agreement) read the same pairs;
+    # the element route expands each pair's hom space once per oracle.
+    built = []
+
+    def fresh_oracle(preset_name, dim_bound, p):
+        built.append(ExpansionCountingOracle(get_preset(preset_name, p), dim_bound))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "get_oracle", fresh_oracle)
+    assert all(r.passed for r in run_checks(name, 3))
+    [oracle] = built
+    assert oracle.expanded
+    assert max(oracle.expanded.values()) == 1
 
 
 # Calls to ``bit_indices`` in run_checks(name, 3) on a fresh oracle: a
