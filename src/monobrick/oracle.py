@@ -80,6 +80,20 @@ dimensions and quotient half ids, collected once per member.  Each half of a
 leaf determines its side, so the sub and the quotient are identified once
 per oracle, memoised on that half, and only a new one is assembled from the
 half matrices and handed to ``identify``.
+
+Only the first member of each orbit of the quiver's symmetries, in universe
+order, is walked.  A symmetry (``presets.symmetries``) permutes the vertices
+and maps the arrows onto the arrows and the zero paths onto the zero paths,
+either as they are or with every arrow reversed, a duality.  Twisting along
+an automorphism is an exact autoequivalence, so it carries each (subobject,
+quotient) pair of a member to one of its image.  Along a duality the twist
+also transposes every matrix, which gives the dual module, and duality is
+exact and turns subobjects into quotients, so the two swap places.  Each
+indecomposable goes to the member ``identify`` finds for its transported
+representation (``presets.transport``), and a map that is not a bijection of
+the indecomposables is refused.  Every other member of an orbit takes the
+pairs ``(A, Q)`` of its first member as ``(gA, gQ)``, or ``(gQ, gA)`` under a
+duality ``g``.
 """
 
 from __future__ import annotations
@@ -94,7 +108,15 @@ from typing import NamedTuple
 from monobrick import fp
 from monobrick.arcs import Arc, HomKind, socle_series
 from monobrick.diagrams import bit_indices, iter_index_cliques
-from monobrick.presets import Preset, Rep, direct_sum, get_preset
+from monobrick.presets import (
+    Preset,
+    Rep,
+    Symmetry,
+    direct_sum,
+    get_preset,
+    symmetries,
+    transport,
+)
 
 Member = tuple[str, ...]
 
@@ -586,31 +608,82 @@ class Oracle:
         return table
 
     def _semisimple_pairs(self, member: Member) -> frozenset[tuple[Member, Member]]:
-        """The chosen summands and the rest, for each choice of summands;
-        both halves come out sorted, like every member."""
+        """The sub-multisets of the summands and the rest, one pair per
+        choice of how many copies of each distinct summand to take; both
+        halves come out sorted, like every member."""
+        counts = Counter(member)
+        names, tops = list(counts), list(counts.values())
+        chain, repeat = itertools.chain.from_iterable, itertools.repeat
         return frozenset(
             (
-                tuple(s for s, c in zip(member, choice) if c),
-                tuple(s for s, c in zip(member, choice) if not c),
+                tuple(chain(map(repeat, names, taken))),
+                tuple(chain(map(repeat, names, map(sub, tops, taken)))),
             )
-            for choice in itertools.product((1, 0), repeat=len(member))
+            for taken in itertools.product(*[range(k + 1) for k in tops])
         )
+
+    @cached_property
+    def _transports(self) -> dict[Member, tuple[Member, dict, Symmetry]]:
+        """Each member but the first of its orbit under the symmetries, in
+        universe order, mapped to that first member, the member map of a
+        symmetry that carries the first member onto this one, and that
+        symmetry.
+
+        A symmetry sends each indecomposable to the member ``identify``
+        finds for its transported representation; a map that is not a
+        bijection of the indecomposables is refused.
+        """
+        preset, order = self.preset, self._order.__getitem__
+        names, members, index = preset.indec_names, self.members, self.index
+        maps = []
+        for symmetry in symmetries(preset):
+            found = [
+                self.identify(transport(preset, r, symmetry)) for r in preset.indec_reps
+            ]
+            if sorted(found) != sorted((n,) for n in names):
+                raise OracleError(
+                    f"symmetry {symmetry.vertices} does not permute the "
+                    "indecomposables"
+                )
+            to = {n: i for n, (i,) in zip(names, found)}
+            # Each image is the universe's own tuple, which the carried
+            # tables then share instead of holding copies.
+            member_map = {
+                m: members[index[tuple(sorted(map(to.__getitem__, m), key=order))]]
+                for m in members
+            }
+            maps.append((member_map, symmetry))
+        moved: dict = {}
+        for m in members:
+            if m not in moved:
+                for member_map, symmetry in maps:
+                    if member_map[m] != m:
+                        moved.setdefault(member_map[m], (m, member_map, symmetry))
+        return moved
 
     def subquotients(self, member: Member) -> frozenset[tuple[Member, Member]]:
         """All (subobject, quotient) pairs of the member, up to isomorphism.
 
         Each stable tuple of subspaces contributes the pair consisting of
         the restricted representation and the induced quotient; the trivial
-        tuples give ``(0, X)`` and ``(X, 0)``.
+        tuples give ``(0, X)`` and ``(X, 0)``.  A member carried from the
+        first of its orbit by a symmetry ``g`` takes that member's pairs
+        ``(A, Q)`` as ``(gA, gQ)``, or as ``(gQ, gA)`` under a duality.
         """
         cached = self._table_cache.get(member)
         if cached is not None:
             return cached
-        rep = self.rep_of(member)
-        if all(fp.is_zero_matrix(m) for m in rep.mats):
+        moved = self._transports.get(member)
+        if moved is not None:
+            source, image, symmetry = moved
+            pairs = frozenset(
+                (image[q], image[a]) if symmetry.dual else (image[a], image[q])
+                for a, q in self.subquotients(source)
+            )
+        elif all(fp.is_zero_matrix(m) for m in self.rep_of(member).mats):
             pairs = self._semisimple_pairs(member)
         else:
-            pairs = self._stable_pairs(member, rep)
+            pairs = self._stable_pairs(member, self.rep_of(member))
         self._table_cache[member] = pairs
         return pairs
 

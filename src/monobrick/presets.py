@@ -17,12 +17,25 @@ indecomposables are thin, one per arc of its algebra.  The package's
 Entries are 0/1, so the same data works over any prime field; the field
 only enters when linear algebra runs.  :func:`get_preset` checks the
 vanishing paths and the names, then caches the result.
+
+:func:`symmetries` lists the symmetries of a preset's bound quiver, and
+:func:`transport` carries a representation along one.  The reflection of
+a3_source swaps its two sources; a2_linear's swaps its vertices and reverses
+its arrow, a duality:
+
+>>> [(s.vertices, s.dual) for s in symmetries(get_preset("a3_source"))]
+[((2, 1, 0), False)]
+>>> a2 = get_preset("a2_linear")
+>>> symmetries(a2)
+(Symmetry(vertices=(1, 0), arrows=(0,), dual=True),)
+>>> transport(a2, a2.rep_of_indec("1"), *symmetries(a2))
+Rep(dims=(0, 1), mats=(((),),))
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, permutations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -165,6 +178,60 @@ def get_preset(name: str, p: int = 2) -> Preset:
     if p not in FIELD_SIZES:
         raise ValueError("supported field sizes are 2, 3 and 5")
     return _validate(interval_preset(name, *PRESETS[name], p))
+
+
+class Symmetry(NamedTuple):
+    """A permutation of a bound quiver's vertices, vertex ``v`` to
+    ``vertices[v]``, with the arrow map it induces, arrow ``a`` to
+    ``arrows[a]``; a duality reverses every arrow."""
+
+    vertices: tuple[int, ...]
+    arrows: tuple[int, ...]
+    dual: bool
+
+
+def symmetries(preset: Preset) -> tuple[Symmetry, ...]:
+    """Every symmetry of the preset's bound quiver but the identity.
+
+    A vertex map ``g`` is one when it maps each arrow ``s -> t`` to an arrow
+    ``g(s) -> g(t)``, or, for a duality, to ``g(t) -> g(s)``, each arrow hit
+    once, and the set of zero paths onto itself, each path read backwards
+    under a duality.
+    """
+    index = {arrow: i for i, arrow in enumerate(preset.arrows)}
+    zero = set(preset.zero_paths)
+    identity = tuple(range(preset.num_vertices))
+    found = []
+    for g in permutations(identity):
+        for dual in False, True:
+            arrows = tuple(
+                index.get((g[t], g[s]) if dual else (g[s], g[t]))
+                for s, t in preset.arrows
+            )
+            if None in arrows or len(set(arrows)) < len(arrows):
+                continue
+            paths = {
+                tuple(arrows[a] for a in (path[::-1] if dual else path))
+                for path in zero
+            }
+            if paths == zero and (dual or g != identity):
+                found.append(Symmetry(g, arrows, dual))
+    return tuple(found)
+
+
+def transport(preset: Preset, rep: Rep, symmetry: Symmetry) -> Rep:
+    """The twist of ``rep`` along ``symmetry``: the space at vertex ``v``
+    moves to ``symmetry.vertices[v]`` and the matrix of arrow ``a`` to
+    ``symmetry.arrows[a]``, transposed under a duality, which makes the
+    result the dual of ``rep`` twisted."""
+    dims = [0] * len(rep.dims)
+    for v, d in zip(symmetry.vertices, rep.dims):
+        dims[v] = d
+    mats: list[Matrix] = [()] * len(rep.mats)
+    for a, m, (_, t) in zip(symmetry.arrows, rep.mats, preset.arrows):
+        # a matrix with no rows transposes to dims[t] empty rows
+        mats[a] = (tuple(zip(*m)) or ((),) * rep.dims[t]) if symmetry.dual else m
+    return Rep(tuple(dims), tuple(mats))
 
 
 def direct_sum(preset: Preset, reps: tuple[Rep, ...]) -> Rep:

@@ -9,6 +9,8 @@ block.  Tests compare the two on every pair of subspaces.  The sub block
 and the brute-force subquotients read coordinates over an RREF basis with
 :func:`coords_in_span`, which the package itself never needs.  The
 subspaces themselves are listed a second way by :func:`literal_subspaces`.
+A semisimple member's table is listed one summand choice at a time by
+:func:`literal_semisimple_pairs`; the package counts copies instead.
 
 ``Oracle.identify`` narrows its candidates by dimensions and arrow ranks
 before it solves any hom system.  :func:`literal_identify` is the route it
@@ -42,6 +44,18 @@ def literal_subspaces(d, p):
                     rows[r][c] = val
                 out.append((tuple(tuple(row) for row in rows), pivots))
     return tuple(out)
+
+
+def literal_semisimple_pairs(member):
+    """The chosen summands and the rest, for each of the 2^k choices of the
+    member's k summands; both halves come out sorted, like every member."""
+    return frozenset(
+        (
+            tuple(s for s, c in zip(member, choice) if c),
+            tuple(s for s, c in zip(member, choice) if not c),
+        )
+        for choice in product((1, 0), repeat=len(member))
+    )
 
 
 def coords_in_span(vec, basis, pivots, p):

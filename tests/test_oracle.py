@@ -232,9 +232,11 @@ class IdentifyingOracle(Oracle):
 
 
 def identified_subquotients(name, p=2):
-    """Every representation identified while building all tables of a
-    fresh oracle over F_p, with its member."""
+    """Every representation identified while walking the table of every
+    member of a fresh oracle over F_p, with its member.  The oracle carries
+    no table along a symmetry, so each member's own walk is recorded."""
     oracle = IdentifyingOracle(get_preset(name, p))
+    oracle._transports = {}
     for member in oracle.members:
         oracle.subquotients(member)
     return oracle, dict(oracle.identified)
