@@ -9,7 +9,6 @@ dependency.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -112,12 +111,10 @@ def kernel_basis(rows: Matrix, ncols: int, p: int) -> list[Vector]:
     return basis
 
 
-@lru_cache(maxsize=None)
 def subspaces(d: int, p: int) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
     """Every subspace of F_p^d as a canonical (RREF basis, pivots) pair.
 
-    Includes the zero subspace as ((), ()).  Cached: these lists are reused
-    across every member sharing a vertex dimension.
+    Includes the zero subspace as ((), ()).
     """
     out: list[tuple[Matrix, tuple[int, ...]]] = [((), ())]
     for k in range(1, d + 1):

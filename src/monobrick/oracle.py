@@ -1,16 +1,19 @@
 """Finite-field model of module categories over the bundled quiver presets.
 
 Members of the model are multisets of indecomposable names (``()`` is the
-zero module), kept up to a total dimension bound.  Identification of an
-arbitrary representation works by dimension vector plus a hom-dimension
-fingerprint: the dimensions of its homs into each indecomposable, then of
-the homs out of each.  The fingerprint table is checked for collisions up
-front so a lookup can never be ambiguous.  The rank of each arrow matrix
-is invariant under isomorphism too, and costs one memoised row reduction
-per distinct matrix, so candidates are narrowed by dimensions and ranks
-first; a hom system is solved only to tell apart members that agree on
-both.  Homs and ranks are additive over summands, so every member's
-fingerprint and ranks are sums of per-indecomposable rows.
+zero module), kept up to a total dimension bound.  Dimension vectors, hom
+dimensions and arrow ranks are additive over summands, so each member has
+one row, summed from one row per indecomposable while the universe is
+built: the dimensions of the homs from it into each indecomposable, then
+into it from each (its fingerprint), its dimension vector, and the rank of
+each arrow matrix.  A representation is built only where matrices are
+read: the table walk, hom systems and the identification audit.
+Identification of an arbitrary representation works by dimension vector
+plus fingerprint, and the rows are checked for collisions up front so a
+lookup can never be ambiguous.  The rank of each arrow matrix is invariant
+under isomorphism too, and costs one memoised row reduction per distinct
+matrix, so candidates are narrowed by dimensions and ranks first; a hom
+system is solved only to tell apart members that agree on both.
 
 Two styles of computation coexist deliberately.  Brick-level checks
 (``is_brick``, ``mono_ok``, ``hom_kind``, ``assert_isomorphic`` and the
@@ -261,9 +264,7 @@ class Oracle:
         self.p = preset.p
         self.dim_bound = dim_bound
         self._order = {n: i for i, n in enumerate(preset.indec_names)}
-        self._rep_cache: dict[Member, Rep] = {}
         self._table_cache: dict[Member, frozenset[tuple[Member, Member]]] = {}
-        self._hom_basis_cache: dict[tuple[Member, Member], tuple] = {}
         self._kinds_memo: dict[tuple[Member, Member], set[HomKind]] = {}
         self._arrow_tables: dict[tuple[fp.Matrix, int, int], _ArrowTable] = {}
         # The id of every distinct half of a block, the matrix of each id, and
@@ -272,23 +273,19 @@ class Oracle:
         self._half_ids: dict[fp.Matrix, int] = {}
         self._half_mats: list[fp.Matrix] = []
         self._leaf_members: dict[tuple, Member] = {}
-
-        self._indec_hom = tuple(
-            tuple(
-                self._hom_dim_reps(a, b) for b in preset.indec_reps
-            )
-            for a in preset.indec_reps
-        )
+        # The rank of every matrix read so far, such as the block halves.
+        self._ranks: dict[fp.Matrix, int] = {}
+        # A row is the fingerprint, then the dimensions, then the arrow ranks.
+        n = 2 * len(preset.indec_names)
+        self._dims_at = slice(n, n + preset.num_vertices)
+        self._rows: dict[Member, tuple[int, ...]] = {}
         self.members = self._build_universe()
         self.index = {m: i for i, m in enumerate(self.members)}
         self._filt_memo: dict[int, int] = {}  # generator mask -> its closure
         self._flags_memo: dict[int, ClosureFlags] = {}
         self._total_dim = [self.dim_of(m) for m in self.members]
-        # The members of each (dimensions, rank of each arrow matrix), and
-        # the rank of every matrix read so far, such as the block halves.
+        # The members of each dimension vector and arrow ranks, in a row.
         self._by_ranks: dict[tuple, list[Member]] = {}
-        self._ranks: dict[fp.Matrix, int] = {}
-        self._fingerprints: dict[Member, tuple[int, ...]] = {}
         self._check_fingerprints()
         self._check_simples()
 
@@ -296,66 +293,71 @@ class Oracle:
     # universe bookkeeping
 
     def _build_universe(self) -> tuple[Member, ...]:
-        names = self.preset.indec_names
-        sizes = [r.total_dim for r in self.preset.indec_reps]
-        found: list[Member] = []
+        """Every multiset of indecomposables within the bound, sorted by
+        total dimension, dimensions and summands; each one's row, the sum
+        of its summands' rows, goes into ``_rows``."""
+        indecs = self.preset.indec_reps
+        hom = [[self._hom_dim_reps(a, b) for b in indecs] for a in indecs]
+        rows = [
+            (*into, *out, *r.dims, *self._arrow_ranks(r.mats))
+            for into, out, r in zip(hom, zip(*hom), indecs)
+        ]
+        sizes = [r.total_dim for r in indecs]
+        zero, dims_at = (0,) * len(rows[0]), self._dims_at
+        found: list[tuple] = []
 
-        def rec(i: int, budget: int, acc: list[str]) -> None:
-            if i == len(names):
-                found.append(tuple(acc))
+        def rec(i: int, budget: int, acc: list[int]) -> None:
+            if i == len(sizes):
+                row = tuple(map(sum, zip(zero, *map(rows.__getitem__, acc))))
+                dims = row[dims_at]
+                found.append((sum(dims), dims, tuple(acc), row))
                 return
             for count in range(budget // sizes[i] + 1):
-                rec(i + 1, budget - count * sizes[i], acc + [names[i]] * count)
+                rec(i + 1, budget - count * sizes[i], acc + [i] * count)
 
         rec(0, self.dim_bound, [])
-        found.sort(key=lambda m: (self.dim_of(m), self.dims_of(m), self._key(m)))
-        return tuple(found)
-
-    def _key(self, member: Member) -> tuple[int, ...]:
-        return tuple(self._order[n] for n in member)
+        found.sort()
+        names = self.preset.indec_names
+        for _, _, summands, row in found:
+            self._rows[tuple(map(names.__getitem__, summands))] = row
+        return tuple(self._rows)
 
     def rep_of(self, member: Member) -> Rep:
-        rep = self._rep_cache.get(member)
-        if rep is None:
-            rep = direct_sum(
-                self.preset,
-                tuple(self.preset.rep_of_indec(n) for n in member),
-            )
-            self._rep_cache[member] = rep
-        return rep
+        """The direct sum of the member's summands, built at each call."""
+        return direct_sum(self.preset, tuple(map(self.preset.rep_of_indec, member)))
+
+    def _row(self, member: Member) -> tuple[int, ...]:
+        """The member's row; its summands may come in any order."""
+        row = self._rows.get(member)
+        if row is None:
+            order = self._order
+            ordered = sorted(member, key=lambda n: order.get(n, -1))
+            row = self._rows.get(tuple(ordered))
+            if row is None:
+                raise OracleError(f"{member} is outside the universe")
+        return row
 
     def dims_of(self, member: Member) -> tuple[int, ...]:
-        return self.rep_of(member).dims
+        return self._row(member)[self._dims_at]
 
     def dim_of(self, member: Member) -> int:
         return sum(self.dims_of(member))
 
     def _check_fingerprints(self) -> None:
-        """Fingerprint every member, refuse a collision, and index the
-        members by dimensions and arrow ranks.
-
-        Homs and ranks are additive over summands, so a member's are the
-        sum over its summands ``a``, with multiplicity, of one row per
-        indecomposable: row ``a`` of ``_indec_hom``, column ``a``, and the
-        ranks of ``a``'s arrow matrices.
-        """
-        hom = self._indec_hom
-        rows = [
-            into + out + self._arrow_ranks(r.mats)
-            for into, out, r in zip(hom, zip(*hom), self.preset.indec_reps)
-        ]
-        zero, n = [0] * len(rows[0]), 2 * len(hom)
+        """Refuse two members with the same fingerprint and dimensions, and
+        index the members by dimensions and arrow ranks, all read off their
+        rows."""
         seen: dict[tuple, Member] = {}
+        dims_at = self._dims_at
         for m in self.members:
-            summed = tuple(map(sum, zip(zero, *(rows[self._order[x]] for x in m))))
-            key = (self.dims_of(m), summed[:n])
+            row = self._rows[m]
+            key = row[: dims_at.stop]  # the fingerprint, then the dimensions
             if key in seen:
                 raise OracleError(
                     f"fingerprint collision between {seen[key]} and {m}"
                 )
             seen[key] = m
-            self._fingerprints[m] = key[1]
-            self._by_ranks.setdefault((key[0], summed[n:]), []).append(m)
+            self._by_ranks.setdefault(row[dims_at.start :], []).append(m)
 
     def _check_simples(self) -> None:
         """Refuse a preset without exactly one simple at some vertex."""
@@ -397,22 +399,15 @@ class Oracle:
         rows, total = self._hom_system(x, y)
         return fp.kernel_basis(tuple(rows), total, self.p)
 
-    def _summands(self, member: Member) -> tuple[tuple[int, int], ...]:
-        """(indecomposable index, multiplicity) of each distinct summand."""
-        return tuple((self._order[n], k) for n, k in Counter(member).items())
-
     def hom_dim(self, x: Member, y: Member) -> int:
-        """Additive over summands, so no linear algebra is needed here."""
-        hom = self._indec_hom
-        into = self._summands(y)
-        return sum(k * m * hom[a][b] for a, k in self._summands(x) for b, m in into)
+        """The entries of ``x``'s row into the summands of ``y``: homs are
+        additive over summands, so no linear algebra is needed here."""
+        into, order = self._row(x), self._order
+        self._row(y)  # refuses a stranger
+        return sum(into[order[n]] for n in y)
 
     def hom_basis(self, x: Member, y: Member) -> list[fp.Vector]:
-        cached = self._hom_basis_cache.get((x, y))
-        if cached is None:
-            cached = tuple(self._hom_basis_reps(self.rep_of(x), self.rep_of(y)))
-            self._hom_basis_cache[(x, y)] = cached
-        return list(cached)
+        return self._hom_basis_reps(self.rep_of(x), self.rep_of(y))
 
     def _expand(self, basis, x_dims, y_dims):
         """Yield the combination of the flat ``basis`` for every nonzero
@@ -477,11 +472,11 @@ class Oracle:
         """The member of ``rep``'s dimensions and arrow ranks, which are
         invariant under isomorphism, left by its fingerprint read entry by
         entry; ``strict`` also compares the whole fingerprint."""
-        candidates = self._by_ranks.get((rep.dims, self._arrow_ranks(rep.mats)), [])
-        fingerprints = self._fingerprints
+        candidates = self._by_ranks.get(rep.dims + self._arrow_ranks(rep.mats), [])
+        rows = self._rows
         if len(candidates) > 1:
             for j, d in enumerate(self._fingerprint_entries(rep)):
-                candidates = [m for m in candidates if fingerprints[m][j] == d]
+                candidates = [m for m in candidates if rows[m][j] == d]
                 if len(candidates) <= 1:
                     break
         if len(candidates) != 1:
@@ -491,7 +486,8 @@ class Oracle:
                 "be complete"
             )
         member = candidates[0]
-        if strict and tuple(self._fingerprint_entries(rep)) != fingerprints[member]:
+        fingerprint = rows[member][: self._dims_at.start]
+        if strict and tuple(self._fingerprint_entries(rep)) != fingerprint:
             raise OracleError(
                 f"fingerprint audit failed for a representation matched "
                 f"to {member}"
@@ -680,7 +676,7 @@ class Oracle:
                 (image[q], image[a]) if symmetry.dual else (image[a], image[q])
                 for a, q in self.subquotients(source)
             )
-        elif all(fp.is_zero_matrix(m) for m in self.rep_of(member).mats):
+        elif not any(self._row(member)[self._dims_at.stop :]):  # every rank 0
             pairs = self._semisimple_pairs(member)
         else:
             pairs = self._stable_pairs(member, self.rep_of(member))

@@ -176,7 +176,9 @@ def get_preset(name: str, p: int = 2) -> Preset:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if p not in FIELD_SIZES:
-        raise ValueError("supported field sizes are 2, 3 and 5")
+        *rest, last = FIELD_SIZES
+        listed = ", ".join(map(str, rest))
+        raise ValueError(f"supported field sizes are {listed} and {last}")
     return _validate(interval_preset(name, *PRESETS[name], p))
 
 

@@ -1,6 +1,7 @@
 """Checks for the finite-field module model."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from literal_tables import literal_fingerprint, literal_identify
 
+from monobrick import fp
 from monobrick.arcs import Algebra, HomKind, hom_kind
 from monobrick.diagrams import DiagramKind, enumerate_diagrams
 from monobrick.oracle import (
@@ -115,6 +117,22 @@ def test_hom_dimension_is_additive():
     assert oracle.hom_dim(x, y) == expected
     basis = oracle.hom_basis(x, y)
     assert len(basis) == expected
+
+
+@pytest.mark.parametrize("stranger", [("1",) * 7, ("9",), ("2", "9")])
+def test_hom_dim_and_dims_of_refuse_a_member_outside_the_universe(stranger):
+    # Past the bound, or with a summand that is no indecomposable; summands
+    # out of universe order still name a member.
+    oracle = get_oracle("a2_linear")
+    assert oracle.dims_of(("2", "1")) == oracle.dims_of(("1", "2")) == (1, 1)
+    named = re.escape(f"{stranger} is outside the universe")
+    for read in (
+        lambda: oracle.dims_of(stranger),
+        lambda: oracle.hom_dim(stranger, ("1",)),
+        lambda: oracle.hom_dim(("1",), stranger),
+    ):
+        with pytest.raises(OracleError, match=named):
+            read()
 
 
 def test_hom_elements_budget_guard():
@@ -316,7 +334,26 @@ def test_identify_refuses_a_rank_no_member_has():
 def test_fingerprints_are_the_hom_dimensions(name, p):
     oracle = get_oracle(name, p=p)
     for member in oracle.members:
-        assert oracle._fingerprints[member] == literal_fingerprint(oracle, member)
+        fingerprint = oracle._rows[member][: oracle._dims_at.start]
+        assert fingerprint == literal_fingerprint(oracle, member)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ALL)
+def test_rows_match_each_members_own_representation(name, p):
+    # The oracle sums its summands' rows; here every entry is computed on
+    # the member's direct sum itself: the homs into and out of each
+    # indecomposable, the dimensions and the rank of each arrow matrix.
+    oracle = get_oracle(name, p=p)
+    indecs = oracle.preset.indec_reps
+    for member in oracle.members:
+        rep = oracle.rep_of(member)
+        assert oracle._rows[member] == (
+            *(oracle._hom_dim_reps(rep, r) for r in indecs),
+            *(oracle._hom_dim_reps(r, rep) for r in indecs),
+            *rep.dims,
+            *(fp.rank(m, p) for m in rep.mats),
+        ), member
 
 
 # ---------------------------------------------------------------------------

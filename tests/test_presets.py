@@ -1,8 +1,11 @@
 """Generated presets against their hand-entered references."""
 
+import re
+
 import pytest
 
 from literal_presets import LITERAL_PRESETS
+from monobrick import FIELD_SIZES, presets
 from monobrick.arcs import Algebra
 from monobrick.oracle import Oracle
 from monobrick.presets import ONE, _rep, _validate, get_preset, interval_preset
@@ -107,3 +110,13 @@ def test_rep_refuses_a_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError) as refused:
         _rep(((0, 1),), (1, 1), {0: ((1, 1),)})
     assert str(refused.value) == "arrow 0 matrix has the wrong shape"
+
+
+@pytest.mark.parametrize("sizes", [FIELD_SIZES, (2, 3, 5, 7, 11)])
+def test_unsupported_field_message_names_every_field_size(monkeypatch, sizes):
+    monkeypatch.setattr(presets, "FIELD_SIZES", sizes)
+    with pytest.raises(ValueError) as refused:
+        get_preset("nak2", 13)
+    message = str(refused.value)
+    assert message.startswith("supported field sizes are ")
+    assert re.findall(r"\d+", message) == [str(p) for p in sizes]

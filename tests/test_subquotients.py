@@ -31,7 +31,7 @@ from literal_tables import (
 from monobrick import fp, verify
 from monobrick.diagrams import bit_indices
 from monobrick.oracle import ZERO, Oracle, _frames, get_oracle
-from monobrick.presets import PRESET_NAMES, Rep, get_preset
+from monobrick.presets import PRESET_NAMES, Rep, direct_sum, get_preset
 from monobrick.verify import run_checks
 
 CASES = [(name, 2) for name in PRESET_NAMES] + [
@@ -86,6 +86,10 @@ def _is_semisimple(rep):
     return all(fp.is_zero_matrix(m) for m in rep.mats)
 
 
+# The brute force lists the subspaces at every vertex of every member.
+_subspaces = lru_cache(maxsize=None)(fp.subspaces)
+
+
 def brute_force_subquotients(oracle, member):
     """Every stable subspace tuple, scanned and built one by one."""
     rep = oracle.rep_of(member)
@@ -93,7 +97,7 @@ def brute_force_subquotients(oracle, member):
         return literal_semisimple_pairs(member)
     p, arrows = oracle.p, oracle.preset.arrows
     pairs = {(ZERO, member), (member, ZERO)}
-    for spaces in itertools.product(*(fp.subspaces(d, p) for d in rep.dims)):
+    for spaces in itertools.product(*(_subspaces(d, p) for d in rep.dims)):
         if sum(len(basis) for basis, _ in spaces) in (0, rep.total_dim):
             continue
         if all(
@@ -310,6 +314,35 @@ def test_run_checks_work_is_pinned(name, monkeypatch):
     monkeypatch.setattr(verify, "get_oracle", fresh_oracle)
     assert all(r.passed for r in run_checks(name, 3))
     assert [(o.hom_systems, o.identified) for o in built] == [WORK_AT_P3[name]]
+
+
+# direct_sum calls in run_checks(name, 3) on a fresh oracle.  Rows are
+# summed, so construction builds none; a representation is built where
+# matrices are read: the walk of each non-semisimple orbit source, the hom
+# systems of the element route and the identification audit.
+DIRECT_SUMS_AT_P3 = {
+    "a2_linear": 40,
+    "a3_linear": 137,
+    "a3_source": 137,
+    "nak2": 59,
+    "b3": 189,
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_direct_sums_are_built_only_where_matrices_are_read(name, monkeypatch):
+    built = []
+
+    def counting_direct_sum(preset, reps):
+        built.append(reps)
+        return direct_sum(preset, reps)
+
+    monkeypatch.setattr("monobrick.oracle.direct_sum", counting_direct_sum)
+    oracle = Oracle(get_preset(name, 3))
+    assert built == []
+    monkeypatch.setattr(verify, "get_oracle", lambda preset_name, dim_bound, p: oracle)
+    assert all(r.passed for r in run_checks(name, 3))
+    assert len(built) == DIRECT_SUMS_AT_P3[name]
 
 
 class ExpansionCountingOracle(Oracle):
