@@ -5,9 +5,10 @@ zero module), kept up to a total dimension bound.  Dimension vectors, hom
 dimensions and arrow ranks are additive over summands, so each member has
 one row, summed from one row per indecomposable while the universe is
 built: the dimensions of the homs from it into each indecomposable, then
-into it from each (its fingerprint), its dimension vector, and the rank of
-each arrow matrix.  A representation is built only where matrices are
-read: the table walk, hom systems and the identification audit.
+into it from each (its fingerprint, which holds its socle: the homs from
+the simple at each vertex), its dimension vector, and the rank of each
+arrow matrix.  A representation is built only where matrices are read: the
+table walk, hom systems and the identification audit.
 Identification of an arbitrary representation works by dimension vector
 plus fingerprint, and the rows are checked for collisions up front so a
 lookup can never be ambiguous.  The rank of each arrow matrix is invariant
@@ -17,17 +18,17 @@ system is solved only to tell apart members that agree on both.
 
 Two styles of computation coexist deliberately.  Brick-level checks
 (``is_brick``, ``mono_ok``, ``hom_kind``, ``assert_isomorphic`` and the
-censuses built on them) iterate over actual hom elements: each is one
-combination of the flat kernel basis of a hom system, unpacked into
-per-vertex matrices, and one classifier, ``_kinds``, sorts the nonzero ones
-into non-injections, isomorphisms and other injections.  The kinds are
-kept per ordered pair, so ``is_brick``, ``mono_ok`` and ``hom_kind`` (and
-the censuses, ``cofinal_closure`` and the audits above them) expand each
-hom space once.  Category-level
-operations (``filt``, ``simp``, closure flags, the W and F maps) instead
-factor every morphism through its image, so they only consult the
-subquotient tables; the element route would be hopeless at dimension 36.
-Tests compare both styles where both are affordable.
+censuses built on them) iterate over actual hom elements, all from one
+generator, ``_elements``: each nonzero combination of the flat kernel basis
+of a hom system, unpacked into per-vertex matrices.  One classifier,
+``_kinds``, sorts them into non-injections, isomorphisms and other
+injections.  The kinds are kept per ordered pair, so ``is_brick``,
+``mono_ok`` and ``hom_kind`` (and the censuses, ``cofinal_closure`` and the
+audits above them) expand each hom space once.  Category-level operations
+(``filt``, ``simp``, closure flags, the W and F maps) instead factor every
+morphism through its image, so they only consult the subquotient tables;
+the element route would be hopeless at dimension 36.  Tests compare both
+styles where both are affordable.
 
 Inside the subcategory layer a set of members is an ``int`` mask over
 ``Oracle.index``; public inputs and outputs stay frozensets.  Each input set
@@ -232,18 +233,6 @@ def _reduced_row(
     return tuple([reduced[c] for c in free])
 
 
-def _unpack_element(
-    flat: tuple[int, ...], x_dims: tuple[int, ...], y_dims: tuple[int, ...]
-) -> tuple[fp.Matrix, ...]:
-    mats = []
-    pos = 0
-    for xv, yv in zip(x_dims, y_dims):
-        rows = tuple(tuple(flat[pos + i * yv : pos + (i + 1) * yv]) for i in range(xv))
-        mats.append(rows)
-        pos += xv * yv
-    return tuple(mats)
-
-
 def element_is_injective(
     element: tuple[fp.Matrix, ...], x_dims: tuple[int, ...], p: int
 ) -> bool:
@@ -287,7 +276,7 @@ class Oracle:
         # The members of each dimension vector and arrow ranks, in a row.
         self._by_ranks: dict[tuple, list[Member]] = {}
         self._check_fingerprints()
-        self._check_simples()
+        self._simples = self._check_simples()
 
     # ------------------------------------------------------------------
     # universe bookkeeping
@@ -324,6 +313,7 @@ class Oracle:
 
     def rep_of(self, member: Member) -> Rep:
         """The direct sum of the member's summands, built at each call."""
+        self._row(member)  # refuses a stranger
         return direct_sum(self.preset, tuple(map(self.preset.rep_of_indec, member)))
 
     def _row(self, member: Member) -> tuple[int, ...]:
@@ -359,14 +349,16 @@ class Oracle:
             seen[key] = m
             self._by_ranks.setdefault(row[dims_at.start :], []).append(m)
 
-    def _check_simples(self) -> None:
-        """Refuse a preset without exactly one simple at some vertex."""
-        vertices = self.preset.num_vertices
-        for v in range(vertices):
-            indicator = tuple(1 if w == v else 0 for w in range(vertices))
-            matches = [r for r in self.preset.indec_reps if r.dims == indicator]
-            if len(matches) != 1:
-                raise OracleError(f"no unique simple at vertex {v + 1}")
+    def _check_simples(self) -> tuple[int, ...]:
+        """The index of the simple at each vertex among the
+        indecomposables; refuse a preset without exactly one."""
+        vertices = range(self.preset.num_vertices)
+        dims = [r.dims for r in self.preset.indec_reps]
+        simples = [tuple(int(w == v) for w in vertices) for v in vertices]
+        for v, simple in enumerate(simples, 1):
+            if dims.count(simple) != 1:
+                raise OracleError(f"no unique simple at vertex {v}")
+        return tuple(map(dims.index, simples))
 
     # ------------------------------------------------------------------
     # hom spaces
@@ -394,11 +386,6 @@ class Oracle:
         rows, total = self._hom_system(x, y)
         return total - fp.rank(rows, self.p)
 
-    def _hom_basis_reps(self, x: Rep, y: Rep) -> list[fp.Vector]:
-        """A basis of the homs, each map flat: vertex by vertex, row by row."""
-        rows, total = self._hom_system(x, y)
-        return fp.kernel_basis(tuple(rows), total, self.p)
-
     def hom_dim(self, x: Member, y: Member) -> int:
         """The entries of ``x``'s row into the summands of ``y``: homs are
         additive over summands, so no linear algebra is needed here."""
@@ -406,26 +393,29 @@ class Oracle:
         self._row(y)  # refuses a stranger
         return sum(into[order[n]] for n in y)
 
-    def hom_basis(self, x: Member, y: Member) -> list[fp.Vector]:
-        return self._hom_basis_reps(self.rep_of(x), self.rep_of(y))
-
-    def _expand(self, basis, x_dims, y_dims):
-        """Yield the combination of the flat ``basis`` for every nonzero
-        coefficient vector, unpacked into per-vertex matrices."""
-        p, columns = self.p, list(zip(*basis))
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if any(coeffs):
-                flat = tuple([sum(map(mul, coeffs, col)) % p for col in columns])
-                yield _unpack_element(flat, x_dims, y_dims)
-
-    def hom_elements(self, x: Member, y: Member):
-        """Yield every nonzero hom element as per-vertex matrices."""
-        basis = self.hom_basis(x, y)
-        if self.p ** len(basis) > _ELEMENT_BUDGET:
+    def _elements(self, x: Rep, y: Rep):
+        """Yield every nonzero map from ``x`` to ``y`` as per-vertex
+        matrices: each combination of the kernel basis of the hom system,
+        whose maps are flat, vertex by vertex and row by row."""
+        p, (rows, total) = self.p, self._hom_system(x, y)
+        basis = fp.kernel_basis(tuple(rows), total, p)
+        if p ** len(basis) > _ELEMENT_BUDGET:
             raise OracleError(
                 f"hom space of dimension {len(basis)} is too large to iterate"
             )
-        yield from self._expand(basis, self.dims_of(x), self.dims_of(y))
+        starts = [0, *itertools.accumulate(map(mul, x.dims, y.dims))]
+        columns = list(zip(*basis))
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            if any(coeffs):
+                flat = [sum(map(mul, coeffs, col)) % p for col in columns]
+                yield tuple(
+                    tuple(tuple(flat[s + i * yv : s + i * yv + yv]) for i in range(xv))
+                    for s, xv, yv in zip(starts, x.dims, y.dims)
+                )
+
+    def hom_elements(self, x: Member, y: Member):
+        """Yield every nonzero hom element as per-vertex matrices."""
+        yield from self._elements(self.rep_of(x), self.rep_of(y))
 
     def _pair_kinds(self, x: Member, y: Member) -> set[HomKind]:
         """``_kinds`` of every nonzero map from ``x`` to ``y``, expanded once
@@ -499,10 +489,7 @@ class Oracle:
         target = self.rep_of(member)
         if rep.dims != target.dims:
             raise OracleError(f"{member} has different dimensions than the input")
-        basis = self._hom_basis_reps(rep, target)
-        if self.p ** len(basis) > _ELEMENT_BUDGET:
-            raise OracleError("hom space too large for the exhaustive audit")
-        elements = self._expand(basis, rep.dims, target.dims)
+        elements = self._elements(rep, target)
         if HomKind.ISO not in self._kinds(elements, rep.dims, target.dims):
             raise OracleError(f"no isomorphism onto {member} exists")
 
@@ -738,7 +725,7 @@ class Oracle:
                         ))
 
         walk(0)
-        half_mats, leaf_members = self._half_mats, self._leaf_members
+        leaf_members = self._leaf_members
         width = nv + len(arrows)  # of each side: its dimensions and half ids
         pairs = {(ZERO, member), (member, ZERO)}
         for leaf in leaves:
@@ -746,12 +733,24 @@ class Oracle:
             for key in leaf[:width], leaf[width:]:
                 found = leaf_members.get(key)
                 if found is None:
-                    found = leaf_members[key] = self.identify(Rep(
-                        key[:nv], tuple(map(half_mats.__getitem__, key[nv:]))
-                    ))
+                    found = leaf_members[key] = self.identify(self._leaf_rep(key))
                 pair.append(found)
             pairs.add(tuple(pair))
         return frozenset(pairs)
+
+    def _leaf_rep(self, key: tuple[int, ...]) -> Rep:
+        """One side of a walk leaf, its dimensions and half ids, assembled."""
+        nv = self.preset.num_vertices
+        return Rep(key[:nv], tuple(map(self._half_mats.__getitem__, key[nv:])))
+
+    def indecomposable_leaves(self) -> list[tuple[Rep, Member]]:
+        """Every side of a walk leaf that ``identify`` matched to one
+        indecomposable, assembled, with that member; every table is built
+        first."""
+        for member in self.members:
+            self.subquotients(member)
+        leaves = self._leaf_members.items()
+        return [(self._leaf_rep(k), m) for k, m in leaves if len(m) == 1]
 
     def subobjects(self, member: Member) -> frozenset[Member]:
         return frozenset(a for a, _ in self.subquotients(member))
@@ -1049,19 +1048,11 @@ class Oracle:
     # ------------------------------------------------------------------
     # bridging to arc combinatorics
 
-    def socle_dims(self, rep: Rep) -> tuple[int, ...]:
-        out = []
-        for v in range(self.preset.num_vertices):
-            arrows_out = [
-                a for a, (s, _) in enumerate(self.preset.arrows) if s == v
-            ]
-            # row i: the images of basis vector i under every arrow out of v
-            rows = [
-                sum((rep.mats[a][i] for a in arrows_out), ())
-                for i in range(rep.dims[v])
-            ]
-            out.append(rep.dims[v] - fp.rank(rows, self.p))
-        return tuple(out)
+    def _socle(self, member: Member) -> tuple[int, ...]:
+        """The dimension of the member's socle at each vertex: the homs
+        into it from the simple there, read off its row."""
+        row, n = self._row(member), len(self._order)
+        return tuple([row[n + s] for s in self._simples])
 
     def arc_member(self, arc: Arc) -> Member:
         algebra = self.preset.arc_algebra
@@ -1069,17 +1060,15 @@ class Oracle:
             raise OracleError(f"{self.preset.name} has no arc model")
         algebra.check_arc(arc)
         series = set(socle_series(arc, algebra.marks))
-        dims = tuple(
-            1 if v + 1 in series else 0 for v in range(self.preset.num_vertices)
-        )
-        socle = tuple(
-            1 if v + 1 == arc.start else 0
-            for v in range(self.preset.num_vertices)
+        vertices = range(1, self.preset.num_vertices + 1)
+        key = (
+            tuple(int(v in series) for v in vertices),
+            tuple(int(v == arc.start) for v in vertices),
         )
         matches = [
             (n,)
-            for n, r in zip(self.preset.indec_names, self.preset.indec_reps)
-            if r.dims == dims and self.socle_dims(r) == socle
+            for n in self.preset.indec_names
+            if (self.dims_of((n,)), self._socle((n,))) == key
         ]
         if len(matches) != 1:
             raise OracleError(f"arc {arc} matches {len(matches)} indecomposables")

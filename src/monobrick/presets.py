@@ -118,7 +118,8 @@ def interval_preset(
     algebra instead, with no arc model.  An arc's module has one dimension
     at each mark of its socle series and ``ONE`` on the arrow between each
     two consecutive marks, the one from the later mark where two join them.
-    The preset's field is F_``p``.
+    The preset's field is F_``p``, and it passes ``_validate``: no zero
+    path survives on a module, and no two modules share a name.
     """
     n = algebra.rank
     zero_paths: tuple[tuple[int, ...], ...] = ()
@@ -145,7 +146,7 @@ def interval_preset(
         names.append(_layer_name(series, [arrows[i] for i in joins]))
         dims = tuple(int(v in series) for v in range(n))
         reps.append(_rep(arrows, dims, dict.fromkeys(joins, ONE)))
-    return Preset(
+    return _validate(Preset(
         name=name,
         num_vertices=n,
         arrows=arrows,
@@ -154,7 +155,7 @@ def interval_preset(
         indec_reps=tuple(reps),
         p=p,
         arc_algebra=arc_algebra,
-    )
+    ))
 
 
 def _validate(preset: Preset) -> Preset:
@@ -179,7 +180,7 @@ def get_preset(name: str, p: int = 2) -> Preset:
         *rest, last = FIELD_SIZES
         listed = ", ".join(map(str, rest))
         raise ValueError(f"supported field sizes are {listed} and {last}")
-    return _validate(interval_preset(name, *PRESETS[name], p))
+    return interval_preset(name, *PRESETS[name], p)
 
 
 class Symmetry(NamedTuple):

@@ -210,8 +210,12 @@ def check_universe_size(oracle: Oracle) -> CheckResult:
 def check_identification(oracle: Oracle) -> CheckResult:
     """Strict identification roundtrips on every small member.
 
-    Also audits each indecomposable through the exhaustive isomorphism
-    search, which is independent of the fingerprint machinery.
+    Also audits, through the exhaustive isomorphism search, which is
+    independent of the fingerprint machinery, every subobject and quotient
+    that the table walks identified as one indecomposable, each assembled
+    from the blocks of its walk leaf (every table is built first).  Over
+    F_2 each of these is the indecomposable's own representation, so the
+    audit bites at p >= 3, where a block can carry another nonzero scalar.
     """
     problems = []
     for m in oracle.members:
@@ -220,11 +224,11 @@ def check_identification(oracle: Oracle) -> CheckResult:
         found = oracle.identify(oracle.rep_of(m), strict=True)
         if found != m:
             problems.append(f"{m} came back as {found}")
-    for n in oracle.preset.indec_names:
+    for rep, (name,) in oracle.indecomposable_leaves():
         try:
-            oracle.assert_isomorphic(oracle.preset.rep_of_indec(n), (n,))
+            oracle.assert_isomorphic(rep, (name,))
         except OracleError as exc:
-            problems.append(f"isomorphism audit failed for {n}: {exc}")
+            problems.append(f"isomorphism audit failed for {name}: {exc}")
     return _result("identification", problems)
 
 
@@ -461,9 +465,9 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
     the least subset that generates it, from ``Oracle.subset_closures``; a
     closure's members are built only when it is reported.  On serial
     presets (those with an arc algebra) the two properties must coincide;
-    on the source orientation closure still implies the Schur condition,
-    and the converse fails on exactly the monobricks flagged in the fixture
-    table.
+    on the others closure still implies the Schur condition, and the
+    converse fails on exactly the monobricks flagged as not kernel- or not
+    image-closed in the preset's fixture table, if it has one.
     """
     name = oracle.preset.name
     bricks = oracle.brick_members()
@@ -495,10 +499,10 @@ def check_left_schur(oracle: Oracle) -> CheckResult:
             f"{n_schur} distinct one-sided Schur subcategories, expected {want}"
         )
 
-    if name == "a3_source":
+    if not serial:
         expected_violations = {
             row.members
-            for row in A3_SOURCE_TABLE
+            for row in CLOSURE_TABLES.get(name, ())
             if not (row.kernel_closed and row.image_closed)
         }
         got_violations = {

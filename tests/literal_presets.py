@@ -3,9 +3,11 @@
 The package generates these presets from the arcs of their algebras.  These
 are the 0/1 matrices and vanishing paths they were first entered as; tests
 compare the generated presets with them, name by name and up to
-isomorphism.
+isomorphism.  ``literal_socle`` computes a socle by the rank of the stacked
+arrow matrices, the reference for the socles the oracle reads off its rows.
 """
 
+from monobrick import fp
 from monobrick.arcs import Algebra
 from monobrick.presets import ONE, Preset, _rep
 
@@ -91,6 +93,19 @@ def literal_b3() -> Preset:
         ("2/1/3", _rep(arrows, (1, 1, 1), {0: ONE, 2: ONE})),
     ]
     return _preset("b3", 3, arrows, zero_paths, indecs, Algebra.cyclic_b(3))
+
+
+def literal_socle(preset, rep):
+    """The dimension of ``rep``'s socle at each vertex: of the vectors there
+    that every arrow out of the vertex kills, read off the rank of those
+    arrows' matrices stacked side by side."""
+    out = []
+    for v, d in enumerate(rep.dims):
+        leaving = [m for m, (s, _) in zip(rep.mats, preset.arrows) if s == v]
+        # row i: the images of basis vector i under every arrow out of v
+        rows = [sum((m[i] for m in leaving), ()) for i in range(d)]
+        out.append(d - fp.rank(rows, preset.p))
+    return tuple(out)
 
 
 LITERAL_PRESETS = {

@@ -321,11 +321,11 @@ def test_run_checks_work_is_pinned(name, monkeypatch):
 # matrices are read: the walk of each non-semisimple orbit source, the hom
 # systems of the element route and the identification audit.
 DIRECT_SUMS_AT_P3 = {
-    "a2_linear": 40,
-    "a3_linear": 137,
-    "a3_source": 137,
-    "nak2": 59,
-    "b3": 189,
+    "a2_linear": 41,
+    "a3_linear": 142,
+    "a3_source": 142,
+    "nak2": 61,
+    "b3": 197,
 }
 
 

@@ -110,7 +110,8 @@ def test_run_checks_reports_an_audit_that_raises(monkeypatch):
 
 def test_run_checks_reports_tables_that_cannot_be_built(monkeypatch):
     # Refusing a walk leaf fails the table prebuild, and then every audit
-    # that reads a table; the two audits that read none still pass.
+    # that reads a table, the identification audit's walk leaves among
+    # them; only the universe-size audit, which reads none, still passes.
     class Refusing(Oracle):
         def identify(self, rep, strict=False):
             if rep.dims == (1, 0) and not strict:
@@ -122,7 +123,7 @@ def test_run_checks_reports_tables_that_cannot_be_built(monkeypatch):
     refused = (False, "walk leaf refused")
     assert results == {
         "universe-size": (True, ""),
-        "identification": (True, ""),
+        "identification": refused,
         "census": refused,
         "arc-agreement": refused,
         "structural-identities": refused,
@@ -527,6 +528,28 @@ def test_identification_reports_a_failed_isomorphism_audit():
     assert problems == [
         "isomorphism audit failed for 2/1: no isomorphism onto ('2/1',) exists"
     ]
+
+
+@pytest.mark.parametrize(
+    ("name", "audited", "differing"),
+    [
+        ("a2_linear", 4, 1),
+        ("a3_linear", 11, 5),
+        ("a3_source", 11, 5),
+        ("nak2", 6, 2),
+        ("b3", 17, 8),
+    ],
+)
+def test_identification_audits_leaves_unlike_their_member(name, audited, differing):
+    # Over F_3 a block of a sub or quotient can carry the scalar 2, so some
+    # walk leaves matched to an indecomposable are not its own module; over
+    # F_2 every one is.
+    oracle = Oracle(get_preset(name, 2))
+    assert all(r == oracle.rep_of(m) for r, m in oracle.indecomposable_leaves())
+    oracle = Oracle(get_preset(name, 3))
+    leaves = oracle.indecomposable_leaves()
+    assert len(leaves) == audited
+    assert sum(r != oracle.rep_of(m) for r, m in leaves) == differing
 
 
 def test_arc_agreement_reports_arcs_that_miss_a_brick():
